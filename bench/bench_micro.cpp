@@ -2,13 +2,12 @@
 // substrate: BCH codec, drift analytics, device Monte-Carlo, and the
 // event-driven simulator core.
 //
-// The BM_Kernel_* benchmarks time each rewritten hot-path kernel in all
-// its implementations — `_ref` (straight-line reference), `_opt`
-// (table-driven / memoized / batched) and `_vec` (SoA + SIMD lanes,
-// dispatched at the level READDUO_SIMD / the host allows) — in one
-// binary, so every run is a self-contained before/after measurement.
-// run_all_benches.sh extracts the triples into BENCH_pr6.json (see README
-// "Profiling the hot paths").
+// The BM_Kernel_* benchmarks time each rewritten hot-path kernel in both
+// its implementations — `_ref` (straight-line reference) and `_opt`
+// (table-driven / memoized / batched) — in one binary, so every run is a
+// self-contained before/after measurement. run_all_benches.sh extracts
+// the pairs into its READDUO_BENCH_JSON summary (see README "Profiling the
+// hot paths").
 //
 // READDUO_BENCH_FAST=1 caps every benchmark's sampling time at a few
 // milliseconds — a smoke-run mode for run_test_sweep.sh that checks the
@@ -45,12 +44,7 @@ const ecc::BchCode& bch8() {
 const ecc::BchCode& bch8_mode(KernelMode mode) {
   static const ecc::BchCode ref(10, 8, 512, KernelMode::kReference);
   static const ecc::BchCode opt(10, 8, 512, KernelMode::kOptimized);
-  static const ecc::BchCode vec(10, 8, 512, KernelMode::kVectorized);
-  switch (mode) {
-    case KernelMode::kReference: return ref;
-    case KernelMode::kVectorized: return vec;
-    default: return opt;
-  }
+  return mode == KernelMode::kReference ? ref : opt;
 }
 
 BitVec random_payload(Rng& rng, std::size_t n) {
@@ -161,16 +155,12 @@ void BM_TraceGen(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGen);
 
-// --- Kernel before/after triples (DESIGN.md §10, §10.5) ------------------
+// --- Kernel before/after pairs (DESIGN.md §10) ---------------------------
 //
-// Each triple runs the identical workload through the reference, the
-// optimized and the vectorized implementation; the ratios are the serial
-// speedups of that kernel on this host. Registered with
-// Kernel_<name>_{ref,opt,vec} names so run_all_benches.sh can group them
-// mechanically. The _vec entries measure whatever SIMD level dispatch
-// lands on (run_all_benches.sh records rd::simd_level() next to them);
-// under READDUO_SIMD=scalar they measure the fallback-to-optimized
-// routing overhead instead.
+// Each pair runs the identical workload through the reference and the
+// optimized implementation; the ratio is the serial speedup of that
+// kernel on this host. Registered with Kernel_<name>_{ref,opt} names so
+// run_all_benches.sh can group them mechanically.
 
 void BM_KernelBchSyndrome(benchmark::State& state, KernelMode mode) {
   Rng rng(21);
@@ -187,8 +177,6 @@ BENCHMARK_CAPTURE(BM_KernelBchSyndrome, ref, KernelMode::kReference)
     ->Name("Kernel_bch_syndrome_ref");
 BENCHMARK_CAPTURE(BM_KernelBchSyndrome, opt, KernelMode::kOptimized)
     ->Name("Kernel_bch_syndrome_opt");
-BENCHMARK_CAPTURE(BM_KernelBchSyndrome, vec, KernelMode::kVectorized)
-    ->Name("Kernel_bch_syndrome_vec");
 
 void BM_KernelBchDecode8(benchmark::State& state, KernelMode mode) {
   Rng rng(22);
@@ -206,8 +194,6 @@ BENCHMARK_CAPTURE(BM_KernelBchDecode8, ref, KernelMode::kReference)
     ->Name("Kernel_bch_decode8_ref");
 BENCHMARK_CAPTURE(BM_KernelBchDecode8, opt, KernelMode::kOptimized)
     ->Name("Kernel_bch_decode8_opt");
-BENCHMARK_CAPTURE(BM_KernelBchDecode8, vec, KernelMode::kVectorized)
-    ->Name("Kernel_bch_decode8_vec");
 
 void BM_KernelDriftLerTail(benchmark::State& state, KernelMode mode) {
   // Re-evaluating a Table III point, the access pattern of the (E, S, W)
@@ -223,10 +209,6 @@ BENCHMARK_CAPTURE(BM_KernelDriftLerTail, ref, KernelMode::kReference)
     ->Name("Kernel_drift_ler_tail_ref");
 BENCHMARK_CAPTURE(BM_KernelDriftLerTail, opt, KernelMode::kOptimized)
     ->Name("Kernel_drift_ler_tail_opt");
-// No SIMD lanes in the closed-form LER model — _vec pins the contract
-// that kVectorized keeps the memoized path (≈ _opt, never ≈ _ref).
-BENCHMARK_CAPTURE(BM_KernelDriftLerTail, vec, KernelMode::kVectorized)
-    ->Name("Kernel_drift_ler_tail_vec");
 
 void BM_KernelMlcLineRead(benchmark::State& state, KernelMode mode) {
   Rng rng(23);
@@ -241,8 +223,6 @@ BENCHMARK_CAPTURE(BM_KernelMlcLineRead, ref, KernelMode::kReference)
     ->Name("Kernel_mlc_line_read_ref");
 BENCHMARK_CAPTURE(BM_KernelMlcLineRead, opt, KernelMode::kOptimized)
     ->Name("Kernel_mlc_line_read_opt");
-BENCHMARK_CAPTURE(BM_KernelMlcLineRead, vec, KernelMode::kVectorized)
-    ->Name("Kernel_mlc_line_read_vec");
 
 void BM_KernelDriftErrorScan(benchmark::State& state, KernelMode mode) {
   // The Monte-Carlo LER / Figure 6 inner loop: count misread cells of a
@@ -264,8 +244,6 @@ BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, ref, KernelMode::kReference)
     ->Name("Kernel_drift_error_scan_ref");
 BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, opt, KernelMode::kOptimized)
     ->Name("Kernel_drift_error_scan_opt");
-BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, vec, KernelMode::kVectorized)
-    ->Name("Kernel_drift_error_scan_vec");
 
 void BM_SimulatorRun(benchmark::State& state) {
   const auto& w = trace::workload_by_name("bzip2");
@@ -305,14 +283,11 @@ int main(int argc, char** argv) {
   int n = static_cast<int>(args.size());
   benchmark::Initialize(&n, args.data());
   if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  // Record the active kernel tier and SIMD dispatch level in the report
-  // context, so a BENCH_*.json states what the _vec rows actually ran
-  // (run_all_benches.sh copies both into its summary).
-  const KernelMode resolved = resolve_kernel_mode(KernelMode::kAuto);
+  // Record the active kernel tier and the host's SIMD level in the report
+  // context (run_all_benches.sh copies both into its summary).
   benchmark::AddCustomContext(
-      "readduo_kernels", resolved == KernelMode::kReference  ? "reference"
-                         : resolved == KernelMode::kOptimized ? "optimized"
-                                                              : "vector");
+      "readduo_kernels",
+      kernels_mode() == KernelMode::kReference ? "reference" : "optimized");
   benchmark::AddCustomContext("readduo_simd", simd_level_name(simd_level()));
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

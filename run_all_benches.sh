@@ -8,10 +8,10 @@
 # final summary.
 #
 # READDUO_BENCH_JSON=path additionally writes a machine-readable summary:
-# per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
-# times for every rewritten hot-path kernel (DESIGN.md §10) with their
-# serial speedups, the kernel tier and SIMD level the _vec rows actually
-# dispatched to, host core count, whether bench_cache/ was warm, and a
+# per-bench wall-clock, the Kernel_*_{ref,opt} pairs bench_micro times
+# for every rewritten hot-path kernel (DESIGN.md §10) with their serial
+# speedups, the active kernel tier and the host's SIMD level, host core
+# count, whether bench_cache/ was warm, and a
 # thread-scaling curve (bench_fig6 wall-clock at READDUO_THREADS in
 # {1,2,4,8}, capped at the host core count, cache disabled so every point
 # recomputes), and a "service" section: the READDUO_METRICS summary of one
@@ -213,9 +213,9 @@ if [ -n "$json_out" ]; then
     # Same for the wire-path run ("service_net").
     nsn = 0
     while ((getline line < servicenetfile) > 0) svn[++nsn] = line
-    # Kernel_<name>_{ref,opt,vec} real_time entries plus the custom
-    # context keys (active tier / SIMD level) from the google-benchmark
-    # JSON report. bench_micro registers one triple per rewritten kernel.
+    # Kernel_<name>_{ref,opt} real_time entries plus the custom context
+    # keys (active tier / host SIMD level) from the google-benchmark JSON
+    # report. bench_micro registers one pair per rewritten kernel.
     name = ""; nk = 0; tier = "unknown"; simd = "unknown"
     while ((getline line < kernelfile) > 0) {
       if (line ~ /"readduo_kernels":/) {
@@ -235,7 +235,6 @@ if [ -n "$json_out" ]; then
           opt[k] = line + 0
           if (!(k in seen)) { seen[k] = 1; order[++nk] = k }
         }
-        else if (name ~ /_vec$/) { vec[k] = line + 0; hasvec[k] = 1 }
         name = ""
       }
     }
@@ -282,11 +281,8 @@ if [ -n "$json_out" ]; then
     printf "  \"kernels_ns\": {\n"
     for (i = 1; i <= nk; ++i) {
       k = order[i]
-      printf "    \"%s\": {\"ref\": %.0f, \"opt\": %.0f", k, ref[k], opt[k]
-      if (k in hasvec) printf ", \"vec\": %.0f", vec[k]
-      printf ", \"speedup\": %.2f", ref[k] / opt[k]
-      if (k in hasvec) printf ", \"speedup_vec\": %.2f", ref[k] / vec[k]
-      printf "}%s\n", i < nk ? "," : ""
+      printf "    \"%s\": {\"ref\": %.0f, \"opt\": %.0f, \"speedup\": %.2f}%s\n", \
+             k, ref[k], opt[k], ref[k] / opt[k], i < nk ? "," : ""
     }
     printf "  }\n"
     printf "}\n"

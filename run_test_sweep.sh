@@ -14,24 +14,20 @@
 #      kernel-equivalence suite: clean-run outputs must stay bit-identical
 #      when every optimized hot-path kernel (DESIGN.md §10) is swapped for
 #      its straight-line reference implementation.
-#   4. The same pair under READDUO_KERNELS=vector, twice: once with native
-#      SIMD dispatch and once forced to the scalar fallback
-#      (READDUO_SIMD=scalar), so the vectorized tier's decisions stay
-#      bit-identical whatever the host CPU offers (DESIGN.md §10.5).
-#   5. A READDUO_BENCH_FAST=1 smoke run of bench_micro: every registered
-#      microbench (including the _vec rows) must still execute; the
-#      numbers are sampled for milliseconds and thrown away.
-#   6. A service soak: a short fixed-seed readduo_load run under 1 and 4
+#   4. A READDUO_BENCH_FAST=1 smoke run of bench_micro: every registered
+#      microbench must still execute; the numbers are sampled for
+#      milliseconds and thrown away.
+#   5. A service soak: a short fixed-seed readduo_load run under 1 and 4
 #      worker threads. The tool itself rc-checks that every submitted
 #      request completed; the lane additionally pins the two runs'
 #      virtual-time metrics against each other (the service determinism
 #      contract, DESIGN.md §11).
-#   7. Concurrency discipline: the readduo_lint fixture self-test (the
+#   6. Concurrency discipline: the readduo_lint fixture self-test (the
 #      lock/atomic rules of DESIGN.md §8 must keep firing on their seeded
 #      violations) and the same fixed-seed service soak under TSan, with
 #      its virtual-time metrics pinned against the plain run.
 #      READDUO_TSAN_SOAK=0 skips just the TSan half of this lane.
-#   8. A socket soak: readduo_serve (--oneshot) with three readduo_load
+#   7. A socket soak: readduo_serve (--oneshot) with three readduo_load
 #      --connect clients pushing the same fixed-seed 100k-request stream
 #      over the wire, under 1 and 4 server worker threads. Both runs'
 #      virtual-time metrics must be bit-identical to each other AND to
@@ -39,7 +35,7 @@
 #      (DESIGN.md §12): socket interleaving must not be observable. The
 #      THREADS=4 run repeats with a TSan-built server unless
 #      READDUO_TSAN_SOAK=0.
-#   9. Device-config equivalence: the golden suite and the fixed-seed
+#   8. Device-config equivalence: the golden suite and the fixed-seed
 #      service soak re-run under READDUO_DEVICE=configs/pcm_readduo_t1.cfg.
 #      The file is the builtin device written down (DESIGN.md §13), so the
 #      goldens must pass unchanged and the soak's virtual-time metrics
@@ -85,16 +81,6 @@ for bin in test_golden test_kernels; do
   echo "-- $bin (READDUO_KERNELS=reference)"
   READDUO_KERNELS=reference "$BUILD/tests/$bin" --gtest_brief=1 \
     || failures=$((failures + 1))
-done
-
-step "vector tier bit-identity: READDUO_KERNELS=vector, native and scalar"
-for bin in test_golden test_kernels; do
-  echo "-- $bin (READDUO_KERNELS=vector)"
-  READDUO_KERNELS=vector "$BUILD/tests/$bin" --gtest_brief=1 \
-    || failures=$((failures + 1))
-  echo "-- $bin (READDUO_KERNELS=vector READDUO_SIMD=scalar)"
-  READDUO_KERNELS=vector READDUO_SIMD=scalar "$BUILD/tests/$bin" \
-    --gtest_brief=1 || failures=$((failures + 1))
 done
 
 step "microbench smoke: bench_micro under READDUO_BENCH_FAST=1"

@@ -68,19 +68,6 @@ class BitVec {
 
   const std::vector<std::uint64_t>& words() const { return words_; }
 
-  /// Overwrite 64-bit word `w` (bits [64w, 64w + 64)) wholesale — the
-  /// fast-packing counterpart of 64 set() calls for batched producers
-  /// (MlcLine's vectorized read). Bits past size() in the last word are
-  /// masked off, preserving the all-zero-tail invariant popcount() and
-  /// operator== rely on.
-  void set_word(std::size_t w, std::uint64_t v) {
-    RD_CHECK(w < words_.size());
-    if (w == words_.size() - 1 && (nbits_ & 63) != 0) {
-      v &= (1ull << (nbits_ & 63)) - 1;
-    }
-    words_[w] = v;
-  }
-
  private:
   std::size_t nbits_ = 0;
   std::vector<std::uint64_t> words_;

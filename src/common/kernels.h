@@ -1,4 +1,4 @@
-// Kernel implementation selection: vectorized vs optimized vs reference.
+// Kernel implementation selection: optimized vs reference.
 //
 // Every hot-path kernel rewritten for speed (BCH syndromes/Chien, drift
 // error-model memoization, batched MLC line reads) keeps its original
@@ -7,43 +7,29 @@
 // reference path and demand bit-identical outputs. Selection happens at
 // two levels:
 //
-//   * process-wide: READDUO_KERNELS=reference|optimized|vector (default
+//   * process-wide: READDUO_KERNELS=reference|optimized (default
 //     optimized), read once through the audited env gateway;
 //   * per-object: constructors and batch entry points take an explicit
 //     KernelMode, where kAuto defers to the process-wide setting.
 //
-// The contract for integer/bit outputs is strict value equality across
-// all three tiers: identical syndromes, decode flags, corrected words,
-// levels, and counts for every input (enforced by tests/test_kernels.cpp
-// and the golden files under tests/golden/, which the reference-kernel
-// lane of run_test_sweep.sh replays). The FP internals of the vectorized
-// drift scan carry a documented tolerance lane instead (DESIGN.md §10.5):
-// the SIMD lanes execute the same unfused multiply/add expression tree as
-// the scalar helpers, so intermediate doubles agree to the bit except
-// that an undrifted cell's `x0 + alpha * 0.0` may normalize `-0.0` to
-// `+0.0` — every *decision* derived from them (levels, error counts,
-// decode flags) is still bit-identical, and that is what the tests pin.
-//
-// The vectorized tier additionally dispatches on the host CPU at runtime
-// (AVX2, then SSE4.2, then scalar). The scalar fallback routes through
-// the existing optimized helpers, so kVectorized is always safe to
-// request: on a non-x86 or pre-SSE4.2 host it degrades to kOptimized
-// behavior, never to wrong answers. READDUO_SIMD=scalar|sse42|avx2
-// pins the dispatch for differential testing.
+// The contract is strict value equality across both tiers: identical
+// syndromes, decode flags, corrected words, levels, and counts for every
+// input (enforced by tests/test_kernels.cpp and the golden files under
+// tests/golden/, which the reference-kernel lane of run_test_sweep.sh
+// replays).
 #pragma once
 
 namespace rd {
 
 /// Which implementation of a rewritten kernel to run.
 enum class KernelMode {
-  kAuto,        ///< defer to READDUO_KERNELS (default: optimized)
-  kReference,   ///< original straight-line implementation
-  kOptimized,   ///< table-driven / memoized / batched implementation
-  kVectorized,  ///< SoA + SIMD lanes; scalar hosts fall back to kOptimized
+  kAuto,       ///< defer to READDUO_KERNELS (default: optimized)
+  kReference,  ///< original straight-line implementation
+  kOptimized,  ///< table-driven / memoized / batched implementation
 };
 
-/// The process-wide kernel mode from READDUO_KERNELS ("reference",
-/// "optimized" or "vector"; unset means optimized). Read once per process
+/// The process-wide kernel mode from READDUO_KERNELS ("reference" or
+/// "optimized"; unset means optimized). Read once per process
 /// (thread-safe); a set-but-unrecognized value throws instead of silently
 /// running the default. Never returns kAuto.
 KernelMode kernels_mode();
@@ -53,29 +39,16 @@ inline KernelMode resolve_kernel_mode(KernelMode mode) {
   return mode == KernelMode::kAuto ? kernels_mode() : mode;
 }
 
-/// Host SIMD capability tiers the vectorized kernels dispatch over.
-/// Ordered: a level implies every lower one.
+/// Host SIMD capability, widest first. Reported as a host fact next to
+/// benchmark results; no kernel dispatches on it.
 enum class SimdLevel {
-  kScalar,  ///< no SIMD kernels — kVectorized routes to optimized helpers
-  kSse42,   ///< 128-bit lanes (batched GF XOR, 2-wide drift metric)
-  kAvx2,    ///< 256-bit lanes (8-wide GF XOR, 4-wide drift, gather Chien)
+  kScalar,  ///< neither of the below (or not an x86 host)
+  kSse42,   ///< SSE4.2
+  kAvx2,    ///< AVX2
 };
 
-/// The SIMD level the vectorized kernels run at: the minimum of what this
-/// binary compiled in (CMake probes -msse4.2/-mavx2), what the host CPU
-/// reports, and the READDUO_SIMD override ("auto" default, or "scalar" /
-/// "sse42" / "avx2"; a strict parse — requesting a level the build or
-/// host cannot honor throws rather than silently degrading). Detected
-/// once per process; thread-safe.
+/// The widest SIMD level the host CPU reports.
 SimdLevel simd_level();
-
-/// Test seam: force simd_level() to return `level` from now on, bypassing
-/// detection. Only levels at or below the detected one are honored
-/// (RD_CHECK otherwise) — the point is forcing the *scalar fallback* in
-/// one process and diffing it against native dispatch, not pretending to
-/// have wider registers. Not thread-safe; call from single-threaded test
-/// setup only.
-void set_simd_level_for_testing(SimdLevel level);
 
 /// Human-readable name of a SIMD level ("scalar" / "sse42" / "avx2").
 const char* simd_level_name(SimdLevel level);

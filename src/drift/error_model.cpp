@@ -11,9 +11,7 @@ namespace rd::drift {
 ErrorModel::ErrorModel(MetricConfig config, KernelMode mode)
     : config_(std::move(config)),
       mode_(resolve_kernel_mode(mode)),
-      // Any non-reference tier memoizes — kVectorized inherits the cache
-      // (this model has no SIMD lanes of its own; vectorized is "at least
-      // as fast as optimized" here, not a third evaluation path).
+      // The optimized tier memoizes; the reference evaluates directly.
       memo_(mode_ != KernelMode::kReference ? std::make_shared<Memo>()
                                             : nullptr) {
   for (const auto& s : config_.states) {

@@ -51,9 +51,8 @@ class ErrorModel {
  public:
   /// Build the model for `config`. `mode` selects the evaluation kernel
   /// (kAuto: READDUO_KERNELS): kReference evaluates every probability
-  /// directly; kOptimized and kVectorized both memoize per (state, t) —
-  /// this model is closed-form, so the vectorized tier has no SIMD lanes
-  /// here and simply keeps the memo. Identical values in every mode.
+  /// directly; kOptimized memoizes per (state, t). Identical values in
+  /// either mode.
   explicit ErrorModel(MetricConfig config, KernelMode mode = KernelMode::kAuto);
 
   /// The metric configuration this model evaluates.

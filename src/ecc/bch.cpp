@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "common/check.h"
-#include "common/simd_kernels.h"
 
 namespace rd::ecc {
 
@@ -48,7 +47,6 @@ BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
     // alpha^(pos * k) for every position and every odd k in [1, 2t); the
     // even syndromes follow from S_2k = S_k^2. Built incrementally with
     // reduced exponents, so construction is one table lookup per entry.
-    // Vectorized mode builds it too: it is the scalar-dispatch fallback.
     const std::uint32_t n = field_.order();
     syn_pow_.resize(static_cast<std::size_t>(t_) * n);
     for (unsigned r = 0; r < t_; ++r) {
@@ -59,29 +57,6 @@ BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
         row[pos] = field_.alpha_pow_reduced(e);
         e += k;
         if (e >= n) e -= n;
-      }
-    }
-  }
-  if (mode_ == KernelMode::kVectorized && t_ <= 32) {
-    // Position-major lane table for the SIMD syndrome kernel: row `pos`
-    // holds the t_ odd-syndrome contributions of that position, padded to
-    // a multiple of 8 lanes with zeros (XOR identity). Only the shortened
-    // positions [0, codeword_bits) exist as rows — a received bit maps to
-    // pos = parity + bit (data) or bit - data (parity), both < codeword
-    // length. t_ > 32 would exceed the lane kernels' register-resident
-    // accumulator cap, so no table is built and the vectorized syndrome
-    // path falls back to the optimized kernel.
-    syn_stride_ = (static_cast<std::size_t>(t_) + 7) / 8 * 8;
-    syn_pos_.assign(static_cast<std::size_t>(codeword_bits()) * syn_stride_,
-                    0);
-    const std::uint32_t n = field_.order();
-    std::vector<std::uint32_t> e(t_, 0);  // e[r] = pos * (2r + 1) mod n
-    for (std::uint32_t pos = 0; pos < codeword_bits(); ++pos) {
-      Elem* row = syn_pos_.data() + pos * syn_stride_;
-      for (unsigned r = 0; r < t_; ++r) {
-        row[r] = field_.alpha_pow_reduced(e[r]);
-        e[r] += 2 * r + 1;
-        if (e[r] >= n) e[r] -= n;
       }
     }
   }
@@ -166,38 +141,10 @@ bool BchCode::syndromes_optimized(const BitVec& word,
   return true;
 }
 
-bool BchCode::syndromes_vectorized(const BitVec& word,
-                                   std::vector<Elem>& s) const {
-  const SimdLevel level = simd_level();
-  if (level == SimdLevel::kScalar || syn_pos_.empty()) {
-    return syndromes_optimized(word, s);
-  }
-  // One XOR-accumulation pass over the set bits fills all odd syndromes
-  // at once from the position-major table; evens follow by Frobenius.
-  alignas(32) std::uint32_t acc[32] = {};
-  if (level == SimdLevel::kAvx2) {
-    simd::bch_syndrome_acc_avx2(word.words().data(), word.size(), data_bits_,
-                                parity_bits_, syn_pos_.data(), syn_stride_,
-                                acc);
-  } else {
-    simd::bch_syndrome_acc_sse42(word.words().data(), word.size(), data_bits_,
-                                 parity_bits_, syn_pos_.data(), syn_stride_,
-                                 acc);
-  }
-  s.assign(2 * t_ + 1, 0);  // s[1..2t]; s[0] unused
-  for (unsigned r = 0; r < t_; ++r) s[2 * r + 1] = acc[r];
-  for (unsigned k = 2; k <= 2 * t_; k += 2) s[k] = field_.sqr(s[k / 2]);
-  for (unsigned k = 1; k <= 2 * t_; ++k) {
-    if (s[k] != 0) return false;
-  }
-  return true;
-}
-
 bool BchCode::syndromes(const BitVec& word, std::vector<Elem>& s) const {
   RD_CHECK(word.size() == codeword_bits());
   switch (mode_) {
     case KernelMode::kReference: return syndromes_reference(word, s);
-    case KernelMode::kVectorized: return syndromes_vectorized(word, s);
     default: return syndromes_optimized(word, s);
   }
 }
@@ -284,33 +231,6 @@ std::vector<std::size_t> BchCode::chien_optimized(const std::vector<Elem>& C,
   return error_positions;
 }
 
-std::vector<std::size_t> BchCode::chien_vectorized(const std::vector<Elem>& C,
-                                                   unsigned limit) const {
-  // Same incremental arithmetic as chien_optimized, 8 positions per step
-  // via AVX2 gathers (see bch_chien_scan_avx2). SSE4.2 has no gather, so
-  // anything below AVX2 runs the scalar optimized scan; ditto a locator
-  // too large for the kernel's register-resident term cap.
-  if (simd_level() != SimdLevel::kAvx2) return chien_optimized(C, limit);
-  const std::uint32_t n = field_.order();
-  const std::size_t terms = C.size();
-  std::vector<std::uint32_t> step(terms), expo(terms);
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < terms; ++i) {
-    if (C[i] == 0) continue;
-    step[live] = n - static_cast<std::uint32_t>(i % n);
-    expo[live] = field_.log(C[i]);
-    ++live;
-  }
-  if (live > 33 || limit == 0) return chien_optimized(C, limit);
-  std::vector<std::size_t> error_positions(limit);
-  const std::size_t found = simd::bch_chien_scan_avx2(
-      field_.exp_table(), n, step.data(), expo.data(), live,
-      static_cast<std::uint32_t>(codeword_bits()), limit,
-      error_positions.data());
-  error_positions.resize(found);
-  return error_positions;
-}
-
 BchDecodeResult BchCode::decode(BitVec& codeword) const {
   BchDecodeResult result;
   std::vector<Elem> s;
@@ -366,10 +286,8 @@ BchDecodeResult BchCode::decode(BitVec& codeword) const {
   }
 
   const std::vector<std::size_t> error_positions =
-      mode_ == KernelMode::kReference
-          ? chien_reference(C, L)
-          : (mode_ == KernelMode::kVectorized ? chien_vectorized(C, L)
-                                              : chien_optimized(C, L));
+      mode_ == KernelMode::kReference ? chien_reference(C, L)
+                                      : chien_optimized(C, L);
 
   if (error_positions.size() != L) {
     result.detected_uncorrectable = true;

@@ -16,15 +16,9 @@
 //     against precomputed alpha^(pos * k) tables for the odd k only (the
 //     even syndromes follow from S_2k = S_k^2 in characteristic 2), and an
 //     incremental log-stepped Chien search over the shortened positions
-//     with an early exit once all roots are found;
-//   * vectorized — the optimized arithmetic in SIMD lanes (DESIGN.md
-//     §10.5): a position-major syndrome table XOR-accumulated 8 (AVX2) or
-//     4 (SSE4.2) odd syndromes at a time per set bit, and a gather-based
-//     Chien scan evaluating 8 positions per step (AVX2 only). Dispatch is
-//     per call on rd::simd_level(); scalar hosts route to the optimized
-//     kernels, so kVectorized never changes results, only speed.
+//     with an early exit once all roots are found.
 //
-// All tiers produce identical syndromes, identical decode outcomes, and
+// Both tiers produce identical syndromes, identical decode outcomes, and
 // identical corrected words for every input — these are pure GF(2^m)
 // integer kernels, so the equality is exact, not approximate
 // (tests/test_kernels.cpp cross-checks them exhaustively per weight; the
@@ -119,7 +113,6 @@ class BchCode {
   bool syndromes(const BitVec& word, std::vector<gf::Elem>& s) const;
   bool syndromes_reference(const BitVec& word, std::vector<gf::Elem>& s) const;
   bool syndromes_optimized(const BitVec& word, std::vector<gf::Elem>& s) const;
-  bool syndromes_vectorized(const BitVec& word, std::vector<gf::Elem>& s) const;
 
   /// Chien search: collect the polynomial positions p with C(alpha^-p) == 0.
   /// `limit` bounds how many roots the caller can use (locator degree L);
@@ -128,8 +121,6 @@ class BchCode {
                                            unsigned limit) const;
   std::vector<std::size_t> chien_optimized(const std::vector<gf::Elem>& C,
                                            unsigned limit) const;
-  std::vector<std::size_t> chien_vectorized(const std::vector<gf::Elem>& C,
-                                            unsigned limit) const;
 
   gf::Field field_;
   unsigned t_;
@@ -144,16 +135,6 @@ class BchCode {
   /// even syndromes are derived by squaring. ~t * n * 4 bytes (32 KiB for
   /// the paper's BCH-8 over GF(2^10)). Empty in reference mode.
   std::vector<gf::Elem> syn_pow_;
-  /// Vectorized-syndrome table: the same entries laid out position-major —
-  /// syn_pos_[pos * syn_stride_ + r] = alpha^(pos * (2r + 1)), with the
-  /// stride rounded up to 8 lanes (zero padded) so one set bit is a single
-  /// 256-bit XOR at t = 8. Positions only span the shortened codeword
-  /// [0, codeword_bits), not all of [0, n): a received bit can never map
-  /// beyond that. Built only in vectorized mode with t <= 32 (the lane
-  /// kernels' register cap); empty otherwise, and syndromes_vectorized
-  /// falls back to the optimized kernel.
-  std::vector<gf::Elem> syn_pos_;
-  std::size_t syn_stride_ = 0;
 };
 
 }  // namespace rd::ecc

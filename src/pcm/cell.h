@@ -86,16 +86,6 @@ class Cell {
   void set_stuck(std::size_t level);
   /// True once set_stuck has pinned this cell.
   bool is_stuck() const { return stuck_; }
-  /// The level set_stuck pinned (meaningful only when is_stuck()).
-  std::size_t stuck_level() const { return stuck_level_; }
-
-  /// The cell's raw percentiles, for structure-of-arrays gathers
-  /// (MlcLine's vectorized read path, DESIGN.md §10.5). Together with
-  /// programmed_level() and write_time() they determine every metric this
-  /// cell can produce: x = (mu + z_program * sigma) + (mu_alpha +
-  /// z_alpha * sigma_alpha) * log10(age / t0).
-  double z_program() const { return z_program_; }
-  double z_alpha() const { return z_alpha_; }
 
  private:
   /// Locate metric value x among the three upper boundaries of `cfg` —

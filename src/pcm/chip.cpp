@@ -70,9 +70,9 @@ BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
   const std::uint64_t serial = sense_serial_++;
   // Raw cell readout: injected transients are gathered per cell (the
   // fault serial advances identically in every kernel mode), then the
-  // whole line is sensed through the batched kernel — cell by cell on the
-  // reference path, SIMD lanes when mode_ is kVectorized (read_levels
-  // dispatches on the mode we pass). Levels are bit-identical throughout.
+  // whole line is sensed — cell by cell on the reference path, through the
+  // batched read_levels kernel otherwise. Levels are bit-identical either
+  // way.
   std::vector<std::uint8_t> values(slot.cells.num_cells());
   std::vector<double> offsets;
   if (faults_ != nullptr && r_path) {
@@ -90,7 +90,7 @@ BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
   } else {
     slot.cells.read_levels(now_s_, cfg,
                            offsets.empty() ? nullptr : offsets.data(),
-                           values.data(), mode_);
+                           values.data());
     for (std::size_t c = 0; c < values.size(); ++c) {
       values[c] = drift::kLevelData[values[c]];
     }

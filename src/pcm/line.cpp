@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/simd_kernels.h"
 
 namespace rd::pcm {
 
@@ -23,9 +22,6 @@ MlcLine::MlcLine(std::size_t nbits) : programmed_(nbits) {
 
 Cell& MlcLine::cell_at(std::size_t i) {
   RD_CHECK(i < cells_.size());
-  // Mutable handle: the caller may set_stuck / reprogram through it, so
-  // the SoA mirror can no longer be trusted.
-  soa_.valid = false;
   return cells_[i];
 }
 
@@ -42,7 +38,6 @@ void MlcLine::write_full(const BitVec& bits, double t_seconds, Rng& rng,
     cells_[c].program(target_level(bits, c), t_seconds, rng, cfg);
   }
   programmed_ = bits;
-  soa_.valid = false;
 }
 
 std::size_t MlcLine::write_differential(const BitVec& bits, double t_seconds,
@@ -58,7 +53,6 @@ std::size_t MlcLine::write_differential(const BitVec& bits, double t_seconds,
     }
   }
   programmed_ = bits;
-  soa_.valid = false;
   return written;
 }
 
@@ -71,14 +65,12 @@ std::size_t MlcLine::refresh_drifted(double t_seconds, Rng& rng,
       ++refreshed;
     }
   }
-  if (refreshed != 0) soa_.valid = false;
   return refreshed;
 }
 
-void MlcLine::read_levels_batched(double t_seconds,
-                                  const drift::MetricConfig& cfg,
-                                  const double* offsets,
-                                  std::uint8_t* out_levels) const {
+void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
+                          const double* offsets,
+                          std::uint8_t* out_levels) const {
   // Hoist the drift law's log10: cells programmed at the same instant (a
   // full write, or each run of a differential write) share one
   // log10(age / t0). The cached value is exactly what the scalar path
@@ -103,100 +95,6 @@ void MlcLine::read_levels_batched(double t_seconds,
   }
 }
 
-void MlcLine::ensure_soa() const {
-  if (soa_.valid) return;
-  const std::size_t n = cells_.size();
-  soa_.level.resize(n);
-  soa_.z_program.resize(n);
-  soa_.z_alpha.resize(n);
-  soa_.t_write.resize(n);
-  soa_.stuck.resize(n);
-  soa_.stuck_level.resize(n);
-  soa_.num_stuck = 0;
-  for (std::size_t c = 0; c < n; ++c) {
-    const Cell& cell = cells_[c];
-    soa_.level[c] = static_cast<std::int32_t>(cell.programmed_level());
-    soa_.z_program[c] = cell.z_program();
-    soa_.z_alpha[c] = cell.z_alpha();
-    soa_.t_write[c] = cell.write_time();
-    soa_.stuck[c] = cell.is_stuck() ? 1 : 0;
-    soa_.stuck_level[c] = static_cast<std::uint8_t>(cell.stuck_level());
-    soa_.num_stuck += soa_.stuck[c];
-  }
-  soa_.valid = true;
-}
-
-void MlcLine::read_levels_vectorized(double t_seconds,
-                                     const drift::MetricConfig& cfg,
-                                     const double* offsets,
-                                     std::uint8_t* out_levels) const {
-  const SimdLevel level = simd_level();
-  const double b0 = cfg.upper_boundary(0);
-  const double b1 = cfg.upper_boundary(1);
-  const double b2 = cfg.upper_boundary(2);
-  // The lane kernel counts boundary exceedances, which equals
-  // level_from_metric only for monotone boundaries — true of any sane
-  // MetricConfig, but a pathological one must still read correctly.
-  if (level == SimdLevel::kScalar || !(b0 <= b1 && b1 <= b2)) {
-    read_levels_batched(t_seconds, cfg, offsets, out_levels);
-    return;
-  }
-  ensure_soa();
-  const std::size_t n = cells_.size();
-  // Per-call log_t fill with the same run caching as the batched loop:
-  // one log10 per run of equal write times, 0.0 for undrifted cells.
-  soa_.log_t.resize(n);
-  bool have_cached = false;
-  double cached_tw = 0.0;
-  double cached_logt = 0.0;
-  for (std::size_t c = 0; c < n; ++c) {
-    const double tw = soa_.t_write[c];
-    if (!have_cached || tw != cached_tw) {
-      const double age = t_seconds - tw;
-      cached_logt = age > cfg.t0_seconds ? std::log10(age / cfg.t0_seconds)
-                                         : 0.0;
-      cached_tw = tw;
-      have_cached = true;
-    }
-    soa_.log_t[c] = cached_logt;
-  }
-  double params[19];
-  for (std::size_t i = 0; i < drift::kNumStates; ++i) {
-    params[i] = cfg.states[i].mu;
-    params[4 + i] = cfg.states[i].sigma;
-    params[8 + i] = cfg.states[i].mu_alpha;
-    params[12 + i] = cfg.states[i].sigma_alpha;
-  }
-  params[16] = b0;
-  params[17] = b1;
-  params[18] = b2;
-  if (level == SimdLevel::kAvx2) {
-    simd::drift_levels_avx2(n, soa_.level.data(), soa_.z_program.data(),
-                            soa_.z_alpha.data(), soa_.log_t.data(), offsets,
-                            params, out_levels);
-  } else {
-    simd::drift_levels_sse42(n, soa_.level.data(), soa_.z_program.data(),
-                             soa_.z_alpha.data(), soa_.log_t.data(), offsets,
-                             params, out_levels);
-  }
-  // Stuck cells ignore metric and offset alike: overwrite after the fact.
-  if (soa_.num_stuck != 0) {
-    for (std::size_t c = 0; c < n; ++c) {
-      if (soa_.stuck[c] != 0) out_levels[c] = soa_.stuck_level[c];
-    }
-  }
-}
-
-void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
-                          const double* offsets, std::uint8_t* out_levels,
-                          KernelMode mode) const {
-  if (resolve_kernel_mode(mode) == KernelMode::kVectorized) {
-    read_levels_vectorized(t_seconds, cfg, offsets, out_levels);
-  } else {
-    read_levels_batched(t_seconds, cfg, offsets, out_levels);
-  }
-}
-
 BitVec MlcLine::read(double t_seconds, const drift::MetricConfig& cfg,
                      KernelMode mode) const {
   BitVec out(num_bits());
@@ -210,31 +108,9 @@ BitVec MlcLine::read(double t_seconds, const drift::MetricConfig& cfg,
     }
     return out;
   }
-  soa_.levels_tmp.resize(cells_.size());
-  std::uint8_t* levels = soa_.levels_tmp.data();
-  read_levels(t_seconds, cfg, nullptr, levels, m);
-  if (m == KernelMode::kVectorized) {
-    // Fast packing: each cell contributes two adjacent bits — bit 2c is
-    // the Gray pair's high bit, bit 2c+1 the low — so 32 cells fill one
-    // 64-bit word. Precompute each level's 2-bit pattern in word order.
-    std::uint64_t pat[drift::kNumStates];
-    for (std::size_t l = 0; l < drift::kNumStates; ++l) {
-      const std::uint8_t data = drift::kLevelData[l];
-      pat[l] = static_cast<std::uint64_t>(((data >> 1) & 1) |
-                                          ((data & 1) << 1));
-    }
-    const std::size_t nwords = (num_bits() + 63) / 64;
-    for (std::size_t wi = 0; wi < nwords; ++wi) {
-      std::uint64_t w = 0;
-      const std::size_t c0 = wi * 32;
-      const std::size_t c1 = std::min(c0 + 32, cells_.size());
-      for (std::size_t c = c0; c < c1; ++c) {
-        w |= pat[levels[c]] << (2 * (c - c0));
-      }
-      out.set_word(wi, w);
-    }
-    return out;
-  }
+  levels_tmp_.resize(cells_.size());
+  std::uint8_t* levels = levels_tmp_.data();
+  read_levels(t_seconds, cfg, nullptr, levels);
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     const std::uint8_t data = drift::kLevelData[levels[c]];
     out.set(2 * c, (data >> 1) & 1);
@@ -252,18 +128,10 @@ std::size_t MlcLine::count_drift_errors(double t_seconds,
     for (const Cell& c : cells_) n += c.drift_error(t_seconds, cfg) ? 1 : 0;
     return n;
   }
-  soa_.levels_tmp.resize(cells_.size());
-  std::uint8_t* levels = soa_.levels_tmp.data();
-  read_levels(t_seconds, cfg, nullptr, levels, m);
+  levels_tmp_.resize(cells_.size());
+  std::uint8_t* levels = levels_tmp_.data();
+  read_levels(t_seconds, cfg, nullptr, levels);
   std::size_t n = 0;
-  if (m == KernelMode::kVectorized && soa_.valid) {
-    // Compare against the SoA mirror: 4-byte sequential loads instead of
-    // striding through the (much larger) Cell objects.
-    for (std::size_t c = 0; c < cells_.size(); ++c) {
-      n += levels[c] != soa_.level[c] ? 1 : 0;
-    }
-    return n;
-  }
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     n += levels[c] != cells_[c].programmed_level() ? 1 : 0;
   }

@@ -12,17 +12,10 @@
 // reference via KernelMode; outputs are bit-identical (the batch calls the
 // same Cell arithmetic with the hoisted operand).
 //
-// The vectorized tier (DESIGN.md §10.5) adds a lazily built
-// structure-of-arrays mirror of the cells — parallel arrays of programmed
-// level, percentiles, write time and stuck state — so the whole-line
-// drift-metric evaluation runs as SIMD lanes (drift_levels_avx2/sse42)
-// with a stuck-cell fixup afterwards. The cache is invalidated by every
-// mutator (writes, refresh, cell_at) and rebuilt on the next vectorized
-// read; it makes the const read paths internally caching, which is safe
-// here because a line is only ever read from the thread that owns it
-// (shards own disjoint chips/lines — see common/parallel.h users).
-// Level decisions are bit-identical to the scalar tiers: the lanes run
-// the same unfused expression tree (kernels.h FP contract).
+// read() and count_drift_errors() sense into a per-line scratch buffer, so
+// those const paths write internal state; that is safe because a line is
+// only ever read from the thread that owns it (shards own disjoint
+// chips/lines — see common/parallel.h users).
 #pragma once
 
 #include <cstdint>
@@ -84,13 +77,10 @@ class MlcLine {
   /// metric disturbances (the READDUO_FAULTS "sense" seam; stuck cells
   /// ignore theirs). This is the batched kernel behind read() and the
   /// chip's sense path: one log10 per distinct cell age, not per cell.
-  /// `mode` kVectorized additionally routes the metric evaluation through
-  /// the SIMD lane kernels when the host supports them (identical levels);
-  /// kReference and kOptimized both run the scalar batched loop here —
-  /// the per-cell reference split lives in read()/count_drift_errors().
+  /// Every kernel mode runs the batched loop here — the per-cell
+  /// reference split lives in read()/count_drift_errors().
   void read_levels(double t_seconds, const drift::MetricConfig& cfg,
-                   const double* offsets, std::uint8_t* out_levels,
-                   KernelMode mode = KernelMode::kAuto) const;
+                   const double* offsets, std::uint8_t* out_levels) const;
 
   /// Number of cells that would be misread at time t under `cfg`.
   /// Dispatches like read().
@@ -104,38 +94,11 @@ class MlcLine {
  private:
   std::size_t target_level(const BitVec& bits, std::size_t cell) const;
 
-  /// Rebuild the SoA mirror from cells_ if a mutator invalidated it.
-  void ensure_soa() const;
-  /// The SIMD lane read path; falls back to the scalar batched loop when
-  /// the host is scalar-only or the boundaries are not monotone.
-  void read_levels_vectorized(double t_seconds,
-                              const drift::MetricConfig& cfg,
-                              const double* offsets,
-                              std::uint8_t* out_levels) const;
-  void read_levels_batched(double t_seconds, const drift::MetricConfig& cfg,
-                           const double* offsets,
-                           std::uint8_t* out_levels) const;
-
   std::vector<Cell> cells_;
   BitVec programmed_;
 
-  /// Structure-of-arrays mirror of cells_ for the vectorized read path,
-  /// plus per-call scratch. Lazily built under const reads (hence
-  /// mutable); invalidated by every mutator. num_stuck lets the common
-  /// no-stuck case skip the fixup scan entirely.
-  struct SoaCache {
-    bool valid = false;
-    std::vector<std::int32_t> level;
-    std::vector<double> z_program;
-    std::vector<double> z_alpha;
-    std::vector<double> t_write;
-    std::vector<std::uint8_t> stuck;
-    std::vector<std::uint8_t> stuck_level;
-    std::size_t num_stuck = 0;
-    std::vector<double> log_t;            ///< scratch: per-cell log10(age/t0)
-    std::vector<std::uint8_t> levels_tmp; ///< scratch: read()/count buffers
-  };
-  mutable SoaCache soa_;
+  /// Scratch levels for read()/count_drift_errors() (hence mutable).
+  mutable std::vector<std::uint8_t> levels_tmp_;
 };
 
 }  // namespace rd::pcm

@@ -15,7 +15,9 @@ namespace rd::readduo {
 namespace {
 
 /// Shared steady-state samplers: pure functions of (metric, interval, nu)
-/// and ~0.5 s to build, so scheme instances share them per process.
+/// and costly to build — the R-scrub sampler (S = 8 s, W = 1) takes
+/// seconds (about 6.5 s on a 4-core x86 host, Release), the M-scrub one
+/// about 0.13 s — so scheme instances share them per process.
 /// Mutex-guarded: concurrent bench runs (bench::run_schemes) construct
 /// schemes from pool threads. Entries are never erased and the map keeps
 /// node addresses stable, so the returned reference outlives the lock.

@@ -1,10 +1,8 @@
-// Seeded violations for the vectorized-tier knobs: near-miss names that
-// look like the real READDUO_SIMD / READDUO_BENCH_FAST knobs but are not
-// in the registry must still be flagged — a typo in a dispatch override
-// would otherwise silently run the default SIMD level.
-const char* kTypoSimd = "READDUO_SIMD_LEVEL";  // expect: env-registry
+// Seeded violations for the bench knobs: a near-miss name that looks like
+// the real READDUO_BENCH_FAST knob but is not in the registry must still
+// be flagged — a typo would otherwise silently run the full-length
+// microbench sampling.
 const char* kTypoFast = "READDUO_BENCHFAST";  // expect: env-registry
 // The real knobs are registered: no findings.
-const char* kSimd = "READDUO_SIMD";
 const char* kFast = "READDUO_BENCH_FAST";
 const char* kGate = "READDUO_BENCH_COMPARE";

@@ -4,12 +4,15 @@
 //
 // Reads the "kernels_ns" section that run_all_benches.sh emits under
 // READDUO_BENCH_JSON (one object per rewritten kernel, with nanosecond
-// entries like "ref"/"opt"/"vec" plus derived "speedup*" ratios) and
-// compares every nanosecond entry present in both files. A metric that
-// got slower by more than max_regress_pct percent (default 10) is a
-// regression; any regression — or a kernel metric that disappeared from
-// the candidate — makes the tool exit nonzero, so run_all_benches.sh can
-// use it as an opt-in perf gate (READDUO_BENCH_COMPARE=<baseline.json>).
+// entries "ref"/"opt" plus a derived "speedup" ratio) and compares every
+// nanosecond entry present in both files. A metric that got slower by
+// more than max_regress_pct percent (default 10) is a regression; any
+// regression — or a kernel metric that disappeared from the candidate —
+// makes the tool exit nonzero, so run_all_benches.sh can use it as an
+// opt-in perf gate (READDUO_BENCH_COMPARE=<baseline.json>). A baseline
+// recorded while the removed vectorized tier existed (BENCH_pr6.json)
+// carries "vec" entries that a current run reports as MISSING; gate
+// against a summary recorded without them.
 //
 // Dependency-free on purpose: the JSON it reads is the repo's own
 // machine-written summary, so a small purpose-built scanner is enough and
@@ -208,8 +211,8 @@ int main(int argc, char** argv) {
       if (regressed) ++regressions;
     }
   }
-  // New kernels/metrics in the candidate are fine (a new tier landing is
-  // the expected way this file grows) — list them for the record.
+  // New kernels/metrics in the candidate are fine (a new kernel landing
+  // is the expected way this file grows) — list them for the record.
   for (const auto& [kernel, metrics] : cand) {
     for (const auto& [metric, ns] : metrics) {
       if (starts_with(metric, "speedup")) continue;

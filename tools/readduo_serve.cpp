@@ -6,7 +6,7 @@
 // Binds the framed wire protocol (src/net/) in front of one
 // service::MemoryService and runs the poll loop until SIGINT/SIGTERM —
 // or, with --oneshot, until at least one client has connected and all
-// connections are gone (the harness mode: run_test_sweep.sh lane 8
+// connections are gone (the harness mode: run_test_sweep.sh lane 7
 // starts a server, points readduo_load --connect at it, and the server
 // exits by itself when the load generator hangs up).
 //
