@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -171,36 +170,6 @@ bool load_cached(const std::string& key, RunResult& out) {
                  key.c_str());
   }
   return false;
-}
-
-/// Strip the trailing newline JsonWriter::str() emits, so nested raw
-/// values compose without blank lines before commas.
-std::string chomp(std::string s) {
-  while (!s.empty() && s.back() == '\n') s.pop_back();
-  return s;
-}
-
-std::string hist_json(const stats::LatencyHistogram& h) {
-  stats::JsonWriter jw;
-  jw.add("count", h.count())
-      .add("mean_ns", h.mean())
-      .add("p50_ns", h.p50())
-      .add("p95_ns", h.p95())
-      .add("p99_ns", h.p99())
-      .add("max_ns", h.max());
-  return chomp(jw.str());
-}
-
-template <typename T, typename Fn>
-std::string json_array(const std::vector<T>& xs, Fn&& render) {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i) os << ", ";
-    os << render(xs[i]);
-  }
-  os << "]";
-  return os.str();
 }
 
 /// atexit hook: print the harness self-metrics line (always) and write the
@@ -429,8 +398,9 @@ bool parse_cache_entry(std::istream& in, RunResult& out) {
   return true;
 }
 
-std::string render_run_json(const std::string& workload, std::uint64_t seed,
-                            bool cached, double wall_ms, const RunResult& r) {
+stats::JsonWriter run_record_json(const std::string& workload,
+                                  std::uint64_t seed, bool cached,
+                                  double wall_ms, const RunResult& r) {
   const stats::SimMetrics& m = r.sim.metrics;
   stats::JsonWriter jw;
   jw.add("scheme", r.summary.scheme)
@@ -453,29 +423,23 @@ std::string render_run_json(const std::string& workload, std::uint64_t seed,
       .add("read_max_ns", all_reads.max());
   stats::JsonWriter classes;
   for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
-    classes.add_raw(stats::req_class_name(static_cast<stats::ReqClass>(c)),
-                    hist_json(m.latency[c]));
+    classes.add(stats::req_class_name(static_cast<stats::ReqClass>(c)),
+                stats::histogram_json(m.latency[c]));
   }
-  jw.add_raw("latency", chomp(classes.str()));
+  jw.add("latency", classes);
   const double exec =
       r.sim.exec_time.v > 0 ? static_cast<double>(r.sim.exec_time.v) : 1.0;
-  jw.add_raw("bank_utilization",
-             json_array(m.banks, [&](const stats::BankGauge& g) {
-               std::ostringstream os;
-               os << static_cast<double>(g.busy_ns) / exec;
-               return os.str();
-             }));
-  jw.add_raw("bank_avg_queue_depth",
-             json_array(m.banks, [](const stats::BankGauge& g) {
-               std::ostringstream os;
-               os << g.avg_depth();
-               return os.str();
-             }));
-  jw.add_raw("bank_max_queue_depth",
-             json_array(m.banks, [](const stats::BankGauge& g) {
-               return std::to_string(g.depth_max);
-             }));
-  return chomp(jw.str());
+  std::vector<double> utilization, avg_depth;
+  std::vector<std::uint64_t> max_depth;
+  for (const stats::BankGauge& g : m.banks) {
+    utilization.push_back(static_cast<double>(g.busy_ns) / exec);
+    avg_depth.push_back(g.avg_depth());
+    max_depth.push_back(g.depth_max);
+  }
+  jw.add("bank_utilization", utilization)
+      .add("bank_avg_queue_depth", avg_depth)
+      .add("bank_max_queue_depth", max_depth);
+  return jw;
 }
 
 std::string render_metrics_json() {
@@ -507,20 +471,15 @@ std::string render_metrics_json() {
                  fe->count(static_cast<faults::FaultClass>(c)));
     }
     stats::JsonWriter fj;
-    fj.add("plan", fe->plan().canonical());
-    fj.add_raw("injected", chomp(counts.str()));
-    doc.add_raw("faults", chomp(fj.str()));
+    fj.add("plan", fe->plan().canonical()).add("injected", counts);
+    doc.add("faults", fj);
   }
-  std::string runs = "[\n";
-  for (std::size_t i = 0; i < h.runs.size(); ++i) {
-    const RunRecord& rec = h.runs[i];
-    runs += render_run_json(rec.workload, rec.seed, rec.cached, rec.wall_ms,
-                            rec.result);
-    if (i + 1 < h.runs.size()) runs += ',';
-    runs += '\n';
+  std::vector<stats::JsonWriter> runs;
+  for (const RunRecord& rec : h.runs) {
+    runs.push_back(run_record_json(rec.workload, rec.seed, rec.cached,
+                                   rec.wall_ms, rec.result));
   }
-  runs += "]";
-  doc.add_raw("runs", runs);
+  doc.add("runs", runs);
   return doc.str();
 }
 

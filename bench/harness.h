@@ -26,6 +26,7 @@
 #include "readduo/schemes.h"
 #include "stats/counters.h"
 #include "stats/edap.h"
+#include "stats/json.h"
 #include "trace/workload.h"
 
 namespace rd::bench {
@@ -65,11 +66,12 @@ void write_cache_entry(std::ostream& out, const RunResult& r);
 /// trust partial bytes.
 bool parse_cache_entry(std::istream& in, RunResult& out);
 
-/// Render one run record exactly as it appears in the READDUO_METRICS
-/// "runs" array. Exposed for the golden tests, which render in-process
-/// and compare field-by-field against a committed file.
-std::string render_run_json(const std::string& workload, std::uint64_t seed,
-                            bool cached, double wall_ms, const RunResult& r);
+/// One run record exactly as it appears in the READDUO_METRICS "runs"
+/// array. Exposed for the golden tests, which render in-process and
+/// compare field-by-field against a committed file.
+stats::JsonWriter run_record_json(const std::string& workload,
+                                  std::uint64_t seed, bool cached,
+                                  double wall_ms, const RunResult& r);
 
 /// Render the full READDUO_METRICS document from the harness state
 /// accumulated so far (runs recorded only while READDUO_METRICS is set).

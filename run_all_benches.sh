@@ -16,7 +16,7 @@
 # {1,2,4,8}, capped at the host core count, cache disabled so every point
 # recomputes), and a "service" section: the READDUO_METRICS summary of one
 # fixed-seed readduo_load run (service-level p50/p95/p99, DESIGN.md §11).
-# BENCH_pr6.json was produced this way.
+# BENCH_pr14.json was produced this way.
 #
 # READDUO_BENCH_COMPARE=<baseline.json> gates the run on the perf budget:
 # after writing READDUO_BENCH_JSON (required), the kernels_ns sections of
@@ -191,6 +191,16 @@ if [ -n "$json_out" ]; then
       -v scalingbench="bench_fig6" \
       -v servicefile="$service_json" \
       -v servicenetfile="$service_net_json" '
+  # Inline a readduo_load summary under "key", one level deeper. The
+  # summary is a JSON object whose first line is "{" and last line "}".
+  function inline_summary(key, file,    n, line, prev) {
+    while ((getline line < file) > 0) {
+      if (++n == 1) { printf "  \"%s\": %s\n", key, line; continue }
+      if (n > 2) printf "  %s\n", prev
+      prev = line
+    }
+    if (n > 1) printf "  %s,\n", prev
+  }
   BEGIN {
     # Per-bench wall-clock, in run order.
     npb = 0
@@ -206,13 +216,6 @@ if [ -n "$json_out" ]; then
       sct[++nsc] = a[1]
       scms[a[1]] = a[2]
     }
-    # The readduo_load summary is already a JSON object (one key per
-    # line); it is inlined verbatim under "service" with re-indentation.
-    nsv = 0
-    while ((getline line < servicefile) > 0) svc[++nsv] = line
-    # Same for the wire-path run ("service_net").
-    nsn = 0
-    while ((getline line < servicenetfile) > 0) svn[++nsn] = line
     # Kernel_<name>_{ref,opt} real_time entries plus the custom context
     # keys (active tier / host SIMD level) from the google-benchmark JSON
     # report. bench_micro registers one pair per rewritten kernel.
@@ -258,24 +261,8 @@ if [ -n "$json_out" ]; then
     }
     printf "}\n"
     printf "  },\n"
-    if (nsv > 0) {
-      printf "  \"service\": "
-      for (i = 1; i <= nsv; ++i) {
-        line = svc[i]
-        if (i == 1)        printf "%s\n", line          # "{"
-        else if (i == nsv) printf "  %s,\n", line       # "}" -> "  },"
-        else               printf "  %s\n", line
-      }
-    }
-    if (nsn > 0) {
-      printf "  \"service_net\": "
-      for (i = 1; i <= nsn; ++i) {
-        line = svn[i]
-        if (i == 1)        printf "%s\n", line          # "{"
-        else if (i == nsn) printf "  %s,\n", line       # "}" -> "  },"
-        else               printf "  %s\n", line
-      }
-    }
+    inline_summary("service", servicefile)
+    inline_summary("service_net", servicenetfile)
     printf "  \"kernel_env\": {\"tier\": \"%s\", \"simd\": \"%s\"},\n", \
            tier, simd
     printf "  \"kernels_ns\": {\n"

@@ -16,13 +16,14 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/units.h"
 #include "faults/fault_plan.h"
 #include "harness.h"
 #include "net/frame.h"
 #include "pcm/chip.h"
 #include "readduo/schemes.h"
+#include "scoped_env.h"
+#include "stats/json.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 
@@ -32,33 +33,6 @@ namespace {
 using faults::FaultClass;
 using faults::FaultEngine;
 using faults::FaultPlan;
-
-/// Scoped environment-variable override; restores the old value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = env_cstr(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// Scoped process fault engine built from a spec; restores "off" on exit.
 class ScopedFaultEngine {
@@ -465,19 +439,38 @@ TEST(CacheFaults, CorruptEntryWarnsAndRecomputes) {
   }
 }
 
+/// The current READDUO_METRICS document, read with the shared JSON reader.
+stats::FlatJson metrics_document() {
+  stats::FlatJson doc;
+  std::string err;
+  EXPECT_TRUE(stats::flatten_json(bench::detail::render_metrics_json(), doc,
+                                  err))
+      << err;
+  return doc;
+}
+
 TEST(CacheFaults, MetricsDocumentCarriesFaultProvenance) {
   ScopedFaultEngine fe("seed=9;cache:p=1");
-  const std::string doc = bench::detail::render_metrics_json();
-  EXPECT_NE(doc.find("\"cache_corrupt\""), std::string::npos);
-  EXPECT_NE(doc.find("\"faults\""), std::string::npos);
-  EXPECT_NE(doc.find("\"plan\""), std::string::npos);
-  EXPECT_NE(doc.find("\"injected\""), std::string::npos);
+  const stats::FlatJson doc = metrics_document();
+  EXPECT_EQ(doc.count("cache_corrupt"), 1u);
+  ASSERT_EQ(doc.count("faults.plan"), 1u);
+  EXPECT_EQ(doc.at("faults.plan"),
+            "\"" + fe.get()->plan().canonical() + "\"");
+  for (unsigned c = 0; c < faults::kNumFaultClasses; ++c) {
+    const std::string path =
+        std::string("faults.injected.") +
+        faults::fault_class_name(static_cast<FaultClass>(c));
+    ASSERT_EQ(doc.count(path), 1u) << path;
+    EXPECT_EQ(doc.at(path),
+              std::to_string(fe.get()->count(static_cast<FaultClass>(c))))
+        << path;
+  }
 }
 
 TEST(CacheFaults, CleanMetricsDocumentOmitsFaultBlock) {
-  const std::string doc = bench::detail::render_metrics_json();
-  EXPECT_EQ(doc.find("\"faults\""), std::string::npos);
-  EXPECT_NE(doc.find("\"cache_corrupt\""), std::string::npos);
+  const stats::FlatJson doc = metrics_document();
+  EXPECT_EQ(doc.count("faults.plan"), 0u);
+  EXPECT_EQ(doc.count("cache_corrupt"), 1u);
 }
 
 // --- trace short reads (acceptance criterion c) -----------------------------

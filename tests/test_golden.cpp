@@ -1,6 +1,7 @@
 // Golden-file tests: the READDUO_METRICS document and one fig9-class run
 // record are rendered in-process and compared field-by-field against
-// committed JSON files (float fields with tolerance, counters exactly).
+// committed JSON files (float fields with tolerance, counters exactly),
+// both sides read with the shared JSON reader (stats/json.h).
 // They pin two contracts at once: the export schema (a renamed or dropped
 // field fails loudly) and zero-overhead-when-off (the goldens were
 // produced with faults off, so any fault-machinery leakage into clean
@@ -11,11 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,150 +22,19 @@
 #include "common/env.h"
 #include "harness.h"
 #include "readduo/schemes.h"
+#include "scoped_env.h"
+#include "stats/json.h"
 #include "trace/workload.h"
 
 namespace rd {
 namespace {
 
-/// Scoped environment-variable override; restores the old value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = env_cstr(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
-
-// --- a minimal JSON flattener ----------------------------------------------
-// Good enough for the repo's own JsonWriter output: objects, arrays,
-// strings, and bare number tokens. Produces path -> raw-token pairs like
-// "runs[0].latency.r_read.p99_ns" -> "1234".
-
-using FlatJson = std::map<std::string, std::string>;
-
-void skip_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-}
-
-std::string parse_string(const std::string& s, std::size_t& i) {
-  std::string out;
-  if (i >= s.size() || s[i] != '"') {
-    ADD_FAILURE() << "expected string at offset " << i;
-    return out;
-  }
-  ++i;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      out += s[i];
-      ++i;
-    }
-    out += s[i];
-    ++i;
-  }
-  if (i >= s.size()) {
-    ADD_FAILURE() << "unterminated string";
-    return out;
-  }
-  ++i;  // closing quote
-  return out;
-}
-
-void parse_value(const std::string& s, std::size_t& i, const std::string& path,
-                 FlatJson& out);
-
-void parse_object(const std::string& s, std::size_t& i,
-                  const std::string& path, FlatJson& out) {
-  ++i;  // '{'
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == '}') {
-    ++i;
-    return;
-  }
-  while (i < s.size()) {
-    skip_ws(s, i);
-    std::string key = parse_string(s, i);
-    skip_ws(s, i);
-    ASSERT_TRUE(i < s.size() && s[i] == ':') << "expected ':' at " << i;
-    ++i;
-    parse_value(s, i, path.empty() ? key : path + "." + key, out);
-    skip_ws(s, i);
-    ASSERT_TRUE(i < s.size()) << "unterminated object";
-    if (s[i] == ',') {
-      ++i;
-      continue;
-    }
-    ASSERT_EQ(s[i], '}') << "expected '}' at " << i;
-    ++i;
-    return;
-  }
-}
-
-void parse_array(const std::string& s, std::size_t& i, const std::string& path,
-                 FlatJson& out) {
-  ++i;  // '['
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == ']') {
-    ++i;
-    return;
-  }
-  std::size_t index = 0;
-  while (i < s.size()) {
-    parse_value(s, i, path + "[" + std::to_string(index++) + "]", out);
-    skip_ws(s, i);
-    ASSERT_TRUE(i < s.size()) << "unterminated array";
-    if (s[i] == ',') {
-      ++i;
-      skip_ws(s, i);
-      continue;
-    }
-    ASSERT_EQ(s[i], ']') << "expected ']' at " << i;
-    ++i;
-    return;
-  }
-}
-
-void parse_value(const std::string& s, std::size_t& i, const std::string& path,
-                 FlatJson& out) {
-  skip_ws(s, i);
-  ASSERT_TRUE(i < s.size()) << "missing value for " << path;
-  if (s[i] == '{') {
-    parse_object(s, i, path, out);
-  } else if (s[i] == '[') {
-    parse_array(s, i, path, out);
-  } else if (s[i] == '"') {
-    out[path] = "\"" + parse_string(s, i) + "\"";
-  } else {
-    std::size_t start = i;
-    while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ']' &&
-           !std::isspace(static_cast<unsigned char>(s[i]))) {
-      ++i;
-    }
-    out[path] = s.substr(start, i - start);
-  }
-}
-
-FlatJson flatten(const std::string& text) {
-  FlatJson out;
-  std::size_t i = 0;
-  parse_value(text, i, "", out);
+/// The document as path -> raw token, via the shared reader; a parse
+/// error fails the test.
+stats::FlatJson flatten(const std::string& text) {
+  stats::FlatJson out;
+  std::string err;
+  EXPECT_TRUE(stats::flatten_json(text, out, err)) << err;
   return out;
 }
 
@@ -177,12 +45,6 @@ std::string leaf_of(const std::string& path) {
   const std::size_t bracket = leaf.find('[');
   if (bracket != std::string::npos) leaf.resize(bracket);
   return leaf;
-}
-
-bool parse_number(const std::string& t, double& v) {
-  char* end = nullptr;
-  v = std::strtod(t.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != t.c_str();
 }
 
 bool looks_float(const std::string& t) {
@@ -196,8 +58,8 @@ bool looks_float(const std::string& t) {
 void expect_json_matches(const std::string& golden_text,
                          const std::string& actual_text,
                          const std::set<std::string>& ignored_leaves) {
-  const FlatJson golden = flatten(golden_text);
-  const FlatJson actual = flatten(actual_text);
+  const stats::FlatJson golden = flatten(golden_text);
+  const stats::FlatJson actual = flatten(actual_text);
   for (const auto& [path, gval] : golden) {
     if (ignored_leaves.count(leaf_of(path)) != 0) continue;
     const auto it = actual.find(path);
@@ -207,7 +69,7 @@ void expect_json_matches(const std::string& golden_text,
     }
     const std::string& aval = it->second;
     double g = 0.0, a = 0.0;
-    if (parse_number(gval, g) && parse_number(aval, a) &&
+    if (stats::json_number(gval, g) && stats::json_number(aval, a) &&
         (looks_float(gval) || looks_float(aval))) {
       const double tol = 1e-9 * std::max({1.0, std::abs(g), std::abs(a)});
       EXPECT_NEAR(a, g, tol) << path;
@@ -265,9 +127,9 @@ TEST(Golden, Fig9ClassRunRecord) {
   const bench::RunResult r =
       bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/42);
   const std::string body =
-      bench::detail::render_run_json(w.name, 42, /*cached=*/false,
-                                     /*wall_ms=*/0.0, r) +
-      "\n";
+      bench::detail::run_record_json(w.name, 42, /*cached=*/false,
+                                     /*wall_ms=*/0.0, r)
+          .str();
   if (maybe_regen("fig9_hybrid_mcf.json", body)) {
     GTEST_SKIP() << "regenerated fig9_hybrid_mcf.json";
   }

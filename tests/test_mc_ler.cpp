@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace rd::pcm {
 namespace {
 
@@ -11,6 +13,13 @@ struct Point {
   unsigned e;
   double s;
 };
+
+// gtest_discover_tests names each ctest case after gtest's printout of its
+// parameter. Without this, a Point prints as raw bytes, uninitialized
+// padding included, so the names would differ between runs.
+void PrintTo(const Point& p, std::ostream* os) {
+  *os << "E" << p.e << "_S" << p.s;
+}
 
 class McVsAnalytic : public ::testing::TestWithParam<Point> {};
 

@@ -9,145 +9,31 @@
 // more than max_regress_pct percent (default 10) is a regression; any
 // regression — or a kernel metric that disappeared from the candidate —
 // makes the tool exit nonzero, so run_all_benches.sh can use it as an
-// opt-in perf gate (READDUO_BENCH_COMPARE=<baseline.json>). A baseline
-// recorded while the removed vectorized tier existed (BENCH_pr6.json)
-// carries "vec" entries that a current run reports as MISSING; gate
-// against a summary recorded without them.
+// opt-in perf gate (READDUO_BENCH_COMPARE=<baseline.json>; the current
+// baseline is BENCH_pr14.json). BENCH_pr6.json predates the removal of
+// the vectorized tier, and its "vec" entries report as MISSING.
 //
-// Dependency-free on purpose: the JSON it reads is the repo's own
-// machine-written summary, so a small purpose-built scanner is enough and
-// the tool stays buildable anywhere the rest of the repo builds. Derived
+// The summary is read with the repo's shared JSON reader (stats/json.h):
+// every "kernels_ns.<kernel>.<metric>" path is one entry. Derived
 // "speedup*" entries are ratios, not times, and are skipped.
 //
 // Exit codes: 0 = within budget, 1 = regression (or missing metric),
 // 2 = usage / file / parse error.
 
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "stats/json.h"
 
 namespace {
 
 // Kernel name -> metric name -> nanoseconds. std::map keeps the report
 // ordering deterministic across runs and platforms.
 using KernelTable = std::map<std::string, std::map<std::string, double>>;
-
-bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-void skip_ws(const std::string& text, std::size_t& pos) {
-  while (pos < text.size() &&
-         std::isspace(static_cast<unsigned char>(text[pos])) != 0) {
-    ++pos;
-  }
-}
-
-// Parse a double-quoted string at `pos` (which must point at the opening
-// quote). The summary writer never emits escapes inside names, so a plain
-// scan to the closing quote is faithful.
-bool parse_string(const std::string& text, std::size_t& pos,
-                  std::string* out) {
-  if (pos >= text.size() || text[pos] != '"') return false;
-  const std::size_t end = text.find('"', pos + 1);
-  if (end == std::string::npos) return false;
-  *out = text.substr(pos + 1, end - pos - 1);
-  pos = end + 1;
-  return true;
-}
-
-bool parse_number(const std::string& text, std::size_t& pos, double* out) {
-  const char* start = text.c_str() + pos;
-  char* end = nullptr;
-  const double v = std::strtod(start, &end);
-  if (end == start) return false;
-  pos += static_cast<std::size_t>(end - start);
-  *out = v;
-  return true;
-}
-
-// Extract the "kernels_ns" object: { "name": { "metric": number, ... }, ... }
-bool parse_kernels_ns(const std::string& text, KernelTable* table,
-                      std::string* err) {
-  const std::size_t anchor = text.find("\"kernels_ns\"");
-  if (anchor == std::string::npos) {
-    *err = "no \"kernels_ns\" section";
-    return false;
-  }
-  std::size_t pos = text.find('{', anchor);
-  if (pos == std::string::npos) {
-    *err = "\"kernels_ns\" has no object";
-    return false;
-  }
-  ++pos;  // past the outer '{'
-  for (;;) {
-    skip_ws(text, pos);
-    if (pos < text.size() && text[pos] == ',') {
-      ++pos;
-      skip_ws(text, pos);
-    }
-    if (pos >= text.size()) {
-      *err = "unterminated kernels_ns object";
-      return false;
-    }
-    if (text[pos] == '}') return true;  // end of kernels_ns
-    std::string kernel;
-    if (!parse_string(text, pos, &kernel)) {
-      *err = "expected a kernel name string";
-      return false;
-    }
-    skip_ws(text, pos);
-    if (pos >= text.size() || text[pos] != ':') {
-      *err = "expected ':' after kernel name '" + kernel + "'";
-      return false;
-    }
-    ++pos;
-    skip_ws(text, pos);
-    if (pos >= text.size() || text[pos] != '{') {
-      *err = "expected '{' for kernel '" + kernel + "'";
-      return false;
-    }
-    ++pos;
-    for (;;) {
-      skip_ws(text, pos);
-      if (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        skip_ws(text, pos);
-      }
-      if (pos >= text.size()) {
-        *err = "unterminated entry for kernel '" + kernel + "'";
-        return false;
-      }
-      if (text[pos] == '}') {
-        ++pos;
-        break;
-      }
-      std::string metric;
-      double value = 0.0;
-      if (!parse_string(text, pos, &metric)) {
-        *err = "expected a metric name in kernel '" + kernel + "'";
-        return false;
-      }
-      skip_ws(text, pos);
-      if (pos >= text.size() || text[pos] != ':') {
-        *err = "expected ':' after metric '" + metric + "'";
-        return false;
-      }
-      ++pos;
-      skip_ws(text, pos);
-      if (!parse_number(text, pos, &value)) {
-        *err = "expected a number for metric '" + metric + "'";
-        return false;
-      }
-      (*table)[kernel][metric] = value;
-    }
-  }
-}
 
 bool load(const std::string& path, KernelTable* table) {
   std::ifstream in(path);
@@ -157,11 +43,26 @@ bool load(const std::string& path, KernelTable* table) {
   }
   std::ostringstream buf;
   buf << in.rdbuf();
-  std::string err;
-  if (!parse_kernels_ns(buf.str(), table, &err)) {
+  const auto fail = [&path](const std::string& err) {
     std::cerr << "bench_compare: " << path << ": " << err << "\n";
     return false;
+  };
+  rd::stats::FlatJson doc;
+  std::string err;
+  if (!rd::stats::flatten_json(buf.str(), doc, err)) return fail(err);
+  const std::string prefix = "kernels_ns.";
+  for (auto it = doc.lower_bound(prefix);
+       it != doc.end() && it->first.starts_with(prefix); ++it) {
+    const std::string entry = it->first.substr(prefix.size());
+    const std::size_t dot = entry.find('.');
+    double ns = 0.0;
+    if (dot == std::string::npos ||
+        !rd::stats::json_number(it->second, ns)) {
+      return fail("\"" + it->first + "\" is not a <kernel>.<metric> number");
+    }
+    (*table)[entry.substr(0, dot)][entry.substr(dot + 1)] = ns;
   }
+  if (table->empty()) return fail("no \"kernels_ns\" entries");
   return true;
 }
 
@@ -192,7 +93,7 @@ int main(int argc, char** argv) {
   int compared = 0;
   for (const auto& [kernel, metrics] : base) {
     for (const auto& [metric, old_ns] : metrics) {
-      if (starts_with(metric, "speedup")) continue;  // derived ratio
+      if (metric.starts_with("speedup")) continue;  // derived ratio
       const auto kit = cand.find(kernel);
       if (kit == cand.end() || kit->second.count(metric) == 0) {
         std::cout << "MISSING  " << kernel << "." << metric
@@ -215,7 +116,7 @@ int main(int argc, char** argv) {
   // is the expected way this file grows) — list them for the record.
   for (const auto& [kernel, metrics] : cand) {
     for (const auto& [metric, ns] : metrics) {
-      if (starts_with(metric, "speedup")) continue;
+      if (metric.starts_with("speedup")) continue;
       const auto kit = base.find(kernel);
       if (kit == base.end() || kit->second.count(metric) == 0) {
         std::cout << "new      " << kernel << "." << metric << "  " << ns

@@ -110,19 +110,6 @@ readduo::SchemeKind scheme_by_name(const std::string& s) {
   return readduo::SchemeKind::kHybrid;
 }
 
-/// {"count":..,"mean_ns":..,"p50_ns":..,...} for one latency class.
-std::string class_json(const stats::LatencyHistogram& h) {
-  const stats::LatencyHistogram::Snapshot s = h.snapshot();
-  stats::JsonWriter j;
-  j.add("count", s.count)
-      .add("mean_ns", s.mean_ns)
-      .add("p50_ns", s.p50_ns)
-      .add("p95_ns", s.p95_ns)
-      .add("p99_ns", s.p99_ns)
-      .add("max_ns", static_cast<std::int64_t>(s.max_ns));
-  return j.str();
-}
-
 // lint: allow(sig-seconds) wall_s is host wall-clock, not simulated time
 void live_report(const service::ServiceStats& st, double wall_s,
                  std::uint64_t target) {
@@ -275,26 +262,77 @@ void run_wire_client(net::Client& cli, const std::vector<GenReq>& stream,
   }
 }
 
-/// Everything the distributed-mode driver needs from flag parsing.
-struct ConnectRun {
-  std::string addr;
-  std::uint64_t requests = 0;
-  double rps = 0.0;
-  std::string scheme;
-  std::string workload;
-  double write_fraction = 0.0;
-  std::uint64_t seed = 0;
+/// The run's flags as parsed; defaults are the usage text's.
+struct LoadRun {
+  std::string addr;  ///< --connect target; empty = in-process
+  std::uint64_t requests = 1'000'000;
+  double rps = 2e6;
+  std::string scheme = "Hybrid";
+  std::string workload = "mcf";
+  double write_fraction = -1.0;  ///< < 0: the workload's own write mix
+  std::uint64_t seed = 42;
   std::size_t clients = 1;
   std::size_t window = 256;
   bool crosscheck = true;
   std::string summary_path;
 };
 
+/// Print the final READDUO_METRICS summary (and copy it to --summary).
+/// Both modes report through here, so their field lines match one for
+/// one — the sweep's line filters pair in-process and wire reports up —
+/// except `mode_counters` (backpressure_spins in-process, the wire_*
+/// transport counters over --connect), which follow
+/// rejected_submissions. `shape` is the service's shards/threads/queue/
+/// batch, from the wire stats blob or the in-process service.
+void write_summary(
+    const LoadRun& run, const net::WireServiceInfo& shape,
+    const service::ServiceStats& st,
+    const std::vector<std::pair<std::string, std::uint64_t>>& mode_counters,
+    double wall) {
+  stats::JsonWriter j;
+  j.add("tool", std::string("readduo_load"))
+      .add("scheme", run.scheme)
+      .add("device", config::active_device().name)
+      .add("workload", run.workload)
+      .add("shards", shape.shards)
+      .add("threads", shape.threads)
+      .add("queue", shape.queue)
+      .add("batch", shape.batch)
+      .add("seed", run.seed)
+      .add("rps_virtual", run.rps)
+      .add("write_fraction", run.write_fraction)
+      .add("requests", run.requests)
+      .add("completed", st.completed)
+      .add("rejected_submissions", st.rejected);
+  for (const auto& [key, v] : mode_counters) j.add(key, v);
+  j.add("virtual_time_ns", static_cast<std::int64_t>(st.virtual_time.v))
+      .add("wall_ms", wall * 1e3)
+      .add("throughput_rps_wall",
+           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
+      .add("scrubs", st.scrubs)
+      .add("write_cancellations", st.write_cancellations)
+      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
+      .add("demand_reads", stats::histogram_json(st.metrics.demand_reads()));
+  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
+    const auto cls = static_cast<stats::ReqClass>(c);
+    if (st.metrics.lat(cls).count() == 0) continue;
+    j.add(stats::req_class_name(cls),
+          stats::histogram_json(st.metrics.lat(cls)));
+  }
+  const std::string json = j.str();
+  std::printf("READDUO_METRICS %s", json.c_str());
+  if (!run.summary_path.empty()) {
+    std::ofstream out(run.summary_path);
+    RD_CHECK_MSG(out.good(), "cannot write --summary file");
+    out << json;
+  }
+}
+
 /// Distributed mode: pregenerate the exact in-process request stream,
 /// split it round-robin over N wire clients, drive a readduo_serve, then
 /// report from the server's stats blob — cross-checked bit-exactly
 /// against the merged client-side completion histograms.
-int run_connect(const ConnectRun& rc, const trace::Workload& w) {
+int run_connect(const LoadRun& rc, const trace::Workload& w) {
   RD_CHECK(rc.clients >= 1);
   RD_CHECK(rc.window >= 1);
   std::printf(
@@ -387,84 +425,41 @@ int run_connect(const ConnectRun& rc, const trace::Workload& w) {
     }
   }
 
-  // Same virtual-time field lines as the in-process report (sourced from
-  // the server blob); wire-only extras carry a wire_ prefix so the
-  // sweep's determinism diffs can filter them alongside wall/spins.
-  stats::JsonWriter j;
-  j.add("tool", std::string("readduo_load"))
-      .add("scheme", rc.scheme)
-      .add("device", config::active_device().name)
-      .add("workload", rc.workload)
-      .add("shards", info.shards)
-      .add("threads", info.threads)
-      .add("queue", info.queue)
-      .add("batch", info.batch)
-      .add("seed", rc.seed)
-      .add("rps_virtual", rc.rps)
-      .add("write_fraction", rc.write_fraction)
-      .add("requests", rc.requests)
-      .add("completed", st.completed)
-      .add("rejected_submissions", st.rejected)
-      .add("wire_clients", static_cast<std::uint64_t>(rc.clients))
-      .add("wire_window", static_cast<std::uint64_t>(rc.window))
-      .add("wire_retries", retries)
-      .add("virtual_time_ns", static_cast<std::int64_t>(st.virtual_time.v))
-      .add("wall_ms", wall * 1e3)
-      .add("throughput_rps_wall",
-           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
-      .add("scrubs", st.scrubs)
-      .add("write_cancellations", st.write_cancellations)
-      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
-      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
-  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
-    const auto cls = static_cast<stats::ReqClass>(c);
-    if (st.metrics.lat(cls).count() == 0) continue;
-    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
-  }
-  const std::string json = j.str();
-  std::printf("READDUO_METRICS %s", json.c_str());
-  if (!rc.summary_path.empty()) {
-    std::ofstream out(rc.summary_path);
-    RD_CHECK_MSG(out.good(), "cannot write --summary file");
-    out << json;
-  }
+  // Virtual-time fields come from the server blob; wire-only extras
+  // carry a wire_ prefix so the sweep's determinism diffs can filter them
+  // alongside wall/spins.
+  write_summary(rc, info, st,
+                {{"wire_clients", rc.clients},
+                 {"wire_window", rc.window},
+                 {"wire_retries", retries}},
+                wall);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t requests = 1'000'000;
-  double rps = 2e6;
-  std::string scheme = "Hybrid";
-  std::string workload = "mcf";
-  double write_fraction = -1.0;
-  std::uint64_t seed = 42;
+  LoadRun run;
   std::uint64_t report_every = 100'000;
-  std::string summary_path;
   std::string shards_flag, queue_flag, batch_flag;
-  std::string connect_addr;
   std::string device_path;
-  std::size_t clients = 1;
-  std::size_t window = 256;
-  bool crosscheck = true;
 
   for (int i = 1; i < argc; ++i) {
     std::string v;
     if (parse_flag(argv[i], "--requests", v)) {
-      requests = std::stoull(v);
+      run.requests = std::stoull(v);
     } else if (parse_flag(argv[i], "--device", v)) {
       device_path = v;
     } else if (parse_flag(argv[i], "--rps", v)) {
-      rps = std::stod(v);
+      run.rps = std::stod(v);
     } else if (parse_flag(argv[i], "--scheme", v)) {
-      scheme = v;
+      run.scheme = v;
     } else if (parse_flag(argv[i], "--workload", v)) {
-      workload = v;
+      run.workload = v;
     } else if (parse_flag(argv[i], "--write-fraction", v)) {
-      write_fraction = std::stod(v);
+      run.write_fraction = std::stod(v);
     } else if (parse_flag(argv[i], "--seed", v)) {
-      seed = std::stoull(v);
+      run.seed = std::stoull(v);
     } else if (parse_flag(argv[i], "--shards", v)) {
       shards_flag = v;
     } else if (parse_flag(argv[i], "--queue", v)) {
@@ -474,22 +469,22 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--report-every", v)) {
       report_every = std::stoull(v);
     } else if (parse_flag(argv[i], "--summary", v)) {
-      summary_path = v;
+      run.summary_path = v;
     } else if (parse_flag(argv[i], "--connect", v)) {
-      connect_addr = v;
+      run.addr = v;
     } else if (parse_flag(argv[i], "--clients", v)) {
-      clients = std::stoull(v);
+      run.clients = std::stoull(v);
     } else if (parse_flag(argv[i], "--window", v)) {
-      window = std::stoull(v);
+      run.window = std::stoull(v);
     } else if (parse_flag(argv[i], "--crosscheck", v)) {
-      crosscheck = std::stoull(v) != 0;
+      run.crosscheck = std::stoull(v) != 0;
     } else {
       usage(argv[0]);
       return 2;
     }
   }
-  RD_CHECK(requests >= 1);
-  RD_CHECK(rps > 0.0);
+  RD_CHECK(run.requests >= 1);
+  RD_CHECK(run.rps > 0.0);
 
   // Pin the device before any simulation object latches it; the --device
   // flag wins over the READDUO_DEVICE env knob.
@@ -498,30 +493,16 @@ int main(int argc, char** argv) {
                               device_path);
   }
 
-  const trace::Workload& w = trace::workload_by_name(workload);
-  if (write_fraction < 0.0) {
-    write_fraction = w.wpki / (w.rpki + w.wpki);
+  const trace::Workload& w = trace::workload_by_name(run.workload);
+  if (run.write_fraction < 0.0) {
+    run.write_fraction = w.wpki / (w.rpki + w.wpki);
   }
 
-  if (!connect_addr.empty()) {
-    ConnectRun rc;
-    rc.addr = connect_addr;
-    rc.requests = requests;
-    rc.rps = rps;
-    rc.scheme = scheme;
-    rc.workload = workload;
-    rc.write_fraction = write_fraction;
-    rc.seed = seed;
-    rc.clients = clients;
-    rc.window = window;
-    rc.crosscheck = crosscheck;
-    rc.summary_path = summary_path;
-    return run_connect(rc, w);
-  }
+  if (!run.addr.empty()) return run_connect(run, w);
 
   service::ServiceConfig cfg;
-  cfg.sim.seed = seed;
-  cfg.scheme = scheme_by_name(scheme);
+  cfg.sim.seed = run.seed;
+  cfg.scheme = scheme_by_name(run.scheme);
   cfg.workload = w;
   service::apply_service_env(cfg);  // env defaults, flags override
   if (!shards_flag.empty()) {
@@ -534,15 +515,15 @@ int main(int argc, char** argv) {
   std::printf(
       "[load] scheme=%s workload=%s shards=%u threads=%u queue=%zu "
       "batch=%zu rps=%.0f write_fraction=%.3f requests=%llu seed=%llu\n",
-      scheme.c_str(), workload.c_str(), svc.num_shards(),
-      svc.worker_threads(), cfg.queue_capacity, cfg.batch_size, rps,
-      write_fraction, static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(seed));
+      run.scheme.c_str(), run.workload.c_str(), svc.num_shards(),
+      svc.worker_threads(), cfg.queue_capacity, cfg.batch_size, run.rps,
+      run.write_fraction, static_cast<unsigned long long>(run.requests),
+      static_cast<unsigned long long>(run.seed));
 
   // Client-side draws use their own decorrelated stream so the request
   // sequence is a pure function of the seed.
-  Rng rng(seed, /*stream=*/0x10ad);
-  const Ns gap{std::max<std::int64_t>(1, from_seconds(1.0 / rps).v)};
+  Rng rng(run.seed, /*stream=*/0x10ad);
+  const Ns gap{std::max<std::int64_t>(1, from_seconds(1.0 / run.rps).v)};
   const auto t0 = std::chrono::steady_clock::now();
   auto wall_s = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -553,8 +534,8 @@ int main(int argc, char** argv) {
   Ns t{0};
   std::uint64_t backpressure_spins = 0;
   std::uint64_t next_report = report_every;
-  for (std::uint64_t i = 1; i <= requests; ++i) {
-    const GenReq g = next_request(rng, t, gap, write_fraction, w);
+  for (std::uint64_t i = 1; i <= run.requests; ++i) {
+    const GenReq g = next_request(rng, t, gap, run.write_fraction, w);
     service::Request r;
     r.id = i;
     r.arrival = g.arrival;
@@ -568,55 +549,24 @@ int main(int argc, char** argv) {
     }
     if (report_every > 0 && i >= next_report) {
       const service::ServiceStats st = svc.stats();
-      live_report(st, wall_s(), requests);
+      live_report(st, wall_s(), run.requests);
       next_report = i + report_every;
     }
   }
   svc.drain();
   const service::ServiceStats st = svc.stats();
-  live_report(st, wall_s(), requests);
+  live_report(st, wall_s(), run.requests);
   svc.stop();
   const double wall = wall_s();
 
-  RD_CHECK_MSG(st.completed == requests,
+  RD_CHECK_MSG(st.completed == run.requests,
                "service lost requests: completed != submitted");
 
-  stats::JsonWriter j;
-  j.add("tool", std::string("readduo_load"))
-      .add("scheme", scheme)
-      .add("device", config::active_device().name)
-      .add("workload", workload)
-      .add("shards", static_cast<std::uint64_t>(svc.num_shards()))
-      .add("threads", static_cast<std::uint64_t>(svc.worker_threads()))
-      .add("queue", static_cast<std::uint64_t>(cfg.queue_capacity))
-      .add("batch", static_cast<std::uint64_t>(cfg.batch_size))
-      .add("seed", seed)
-      .add("rps_virtual", rps)
-      .add("write_fraction", write_fraction)
-      .add("requests", requests)
-      .add("completed", st.completed)
-      .add("rejected_submissions", st.rejected)
-      .add("backpressure_spins", backpressure_spins)
-      .add("virtual_time_ns",
-           static_cast<std::int64_t>(st.virtual_time.v))
-      .add("wall_ms", wall * 1e3)
-      .add("throughput_rps_wall",
-           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
-      .add("scrubs", st.scrubs)
-      .add("write_cancellations", st.write_cancellations)
-      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
-      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
-  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
-    const auto cls = static_cast<stats::ReqClass>(c);
-    if (st.metrics.lat(cls).count() == 0) continue;
-    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
-  }
-  const std::string json = j.str();
-  std::printf("READDUO_METRICS %s", json.c_str());
-  if (!summary_path.empty()) {
-    std::ofstream out(summary_path);
-    RD_CHECK_MSG(out.good(), "cannot write --summary file");
-    out << json;
-  }
+  write_summary(run,
+                {.shards = svc.num_shards(),
+                 .queue = cfg.queue_capacity,
+                 .batch = cfg.batch_size,
+                 .threads = svc.worker_threads()},
+                st, {{"backpressure_spins", backpressure_spins}}, wall);
   return 0;
 }
