@@ -38,6 +38,15 @@ std::uint64_t instruction_budget() {
 
 namespace {
 
+/// The schema tag that opens every cache entry ("v3"). Built by append,
+/// once: `"v" + std::to_string(...)` draws a false-positive GCC 12
+/// -Wrestrict warning at -O3.
+const std::string& cache_tag() {
+  static const std::string kTag =
+      std::string("v").append(std::to_string(detail::kCacheSchemaVersion));
+  return kTag;
+}
+
 bool cache_enabled() {
   const char* e = env_cstr("READDUO_CACHE");
   if (e != nullptr && std::string(e) == "0") return false;
@@ -161,8 +170,7 @@ bool load_cached(const std::string& key, RunResult& out) {
   // report it, count it, and fall through to recompute.
   std::istringstream tagged(bytes);
   std::string tag;
-  if ((tagged >> tag) &&
-      tag == "v" + std::to_string(detail::kCacheSchemaVersion)) {
+  if ((tagged >> tag) && tag == cache_tag()) {
     harness().cache_corrupt.fetch_add(1, std::memory_order_relaxed);
     std::fprintf(stderr,
                  "readduo: warning: corrupt bench_cache entry '%s' — "
@@ -288,7 +296,7 @@ void write_cache_entry(std::ostream& out, const RunResult& r) {
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   const auto& c = r.counters;
   const auto& s = r.sim;
-  out << "v" << kCacheSchemaVersion << "\n";
+  out << cache_tag() << "\n";
   out << r.summary.scheme << " " << r.summary.exec_time.v << " "
       << r.summary.dynamic_energy_pj << " " << r.summary.static_watts << " "
       << r.summary.cells_per_line << " " << r.summary.cell_writes << " "
@@ -327,7 +335,7 @@ void write_cache_entry(std::ostream& out, const RunResult& r) {
 
 bool parse_cache_entry(std::istream& in, RunResult& out) {
   std::string tag;
-  if (!(in >> tag) || tag != "v" + std::to_string(kCacheSchemaVersion)) {
+  if (!(in >> tag) || tag != cache_tag()) {
     return false;  // unknown / stale schema: treat as a miss
   }
   std::string name;

@@ -51,7 +51,9 @@ trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
 
 # Record the cache state before the sweep touches it: a warm bench_cache/
 # replays the heavy sims, so the per-bench numbers mean something different.
-if [ -n "$(ls bench_cache 2>/dev/null)" ]; then
+# Only entries for this sweep's instruction budget (keys carry
+# _b<READDUO_INSTR>_) can hit; entries of other budgets leave it cold.
+if ls -d bench_cache/*_b"${READDUO_INSTR:-6000000}"_* > /dev/null 2>&1; then
   cache_state=warm
 else
   cache_state=cold

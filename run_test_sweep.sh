@@ -50,6 +50,10 @@ FILTER=${2:-}
 failures=0
 
 step() { printf '\n== %s\n' "$*"; }
+# Direct test-binary runs use the build tree as working directory, as
+# ctest does, so the bench_cache/ entries they write stay out of the
+# repo root (and out of run_all_benches.sh's warm/cold label).
+run_test() { (cd "$BUILD/tests" && "./$1" --gtest_brief=1); }
 
 if [ ! -f "$BUILD/CTestTestfile.cmake" ]; then
   cmake -B "$BUILD" -S . && cmake --build "$BUILD" -j || exit 1
@@ -68,8 +72,7 @@ for bin in test_parallel test_metrics test_faults; do
   fi
   for t in 1 4; do
     echo "-- $bin (READDUO_THREADS=$t)"
-    READDUO_THREADS=$t "$BUILD/tests/$bin" --gtest_brief=1 \
-      || failures=$((failures + 1))
+    READDUO_THREADS=$t run_test "$bin" || failures=$((failures + 1))
   done
 done
 
@@ -79,8 +82,7 @@ for bin in test_golden test_kernels; do
     cmake --build "$BUILD" --target "$bin" -j || exit 1
   fi
   echo "-- $bin (READDUO_KERNELS=reference)"
-  READDUO_KERNELS=reference "$BUILD/tests/$bin" --gtest_brief=1 \
-    || failures=$((failures + 1))
+  READDUO_KERNELS=reference run_test "$bin" || failures=$((failures + 1))
 done
 
 step "microbench smoke: bench_micro under READDUO_BENCH_FAST=1"
@@ -208,14 +210,13 @@ rm -rf "$net_dir"
 step "device-config equivalence: READDUO_DEVICE=configs/pcm_readduo_t1.cfg"
 # The golden config is the builtin device externalized; goldens and the
 # service soak must not be able to tell the difference (DESIGN.md §13).
-dev_cfg=configs/pcm_readduo_t1.cfg
+dev_cfg=$PWD/configs/pcm_readduo_t1.cfg
 for bin in test_golden test_config; do
   if [ ! -x "$BUILD/tests/$bin" ]; then
     cmake --build "$BUILD" --target "$bin" -j || exit 1
   fi
   echo "-- $bin (READDUO_DEVICE=$dev_cfg)"
-  READDUO_DEVICE=$dev_cfg "$BUILD/tests/$bin" --gtest_brief=1 \
-    || failures=$((failures + 1))
+  READDUO_DEVICE=$dev_cfg run_test "$bin" || failures=$((failures + 1))
 done
 dev_dir=$(mktemp -d)
 echo "-- readduo_load 100k requests (default device)"

@@ -1,16 +1,15 @@
-// Strict environment-variable parsing.
+// The process-environment gateway.
 //
-// Every READDUO_* integer knob goes through parse_env_u64 so a typo like
-// READDUO_INSTR=6e6 fails loudly instead of silently running the default
-// configuration (and mislabelling the resulting numbers).
+// Every READDUO_* integer knob goes through parse_env_u64 (the strict
+// parse_uint of common/parse.h) so a typo like READDUO_INSTR=6e6 fails
+// loudly instead of silently running the default configuration.
 #pragma once
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 
-#include "common/check.h"
+#include "common/parse.h"
 
 namespace rd {
 
@@ -19,23 +18,10 @@ namespace rd {
 /// full set of knobs a build responds to is grep-able from one choke point.
 inline const char* env_cstr(const char* name) { return std::getenv(name); }
 
-/// Parse `value` (the content of env var `name`) as a base-10 unsigned
-/// integer. The whole string must be digits — no sign, whitespace,
-/// exponent, or trailing garbage. Throws CheckFailure otherwise.
+/// Parse `value` (the content of env var `name`) with parse_uint; the
+/// diagnostic names the variable as "env <name>".
 inline std::uint64_t parse_env_u64(const char* name, const char* value) {
-  RD_CHECK_MSG(value != nullptr && *value != '\0',
-               "env " << name << " is set but empty");
-  for (const char* p = value; *p; ++p) {
-    RD_CHECK_MSG(*p >= '0' && *p <= '9',
-                 "env " << name << "='" << value
-                        << "' is not a plain base-10 integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  RD_CHECK_MSG(errno == 0 && end == value + std::strlen(value),
-               "env " << name << "='" << value << "' is out of range");
-  return v;
+  return parse_uint(std::string("env ") + name, value != nullptr ? value : "");
 }
 
 }  // namespace rd

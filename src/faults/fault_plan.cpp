@@ -1,13 +1,11 @@
 #include "faults/fault_plan.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 #include <iomanip>
 #include <limits>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 
 namespace rd::faults {
 
@@ -33,41 +31,13 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
-std::uint64_t parse_uint(const std::string& clause, const std::string& v) {
-  RD_CHECK_MSG(!v.empty(), "READDUO_FAULTS clause '" << clause
-                                                     << "': empty integer");
-  for (char c : v) {
-    RD_CHECK_MSG(c >= '0' && c <= '9',
-                 "READDUO_FAULTS clause '" << clause << "': '" << v
-                                           << "' is not a plain integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  RD_CHECK_MSG(errno == 0 && end == v.c_str() + v.size(),
-               "READDUO_FAULTS clause '" << clause << "': '" << v
-                                         << "' is out of range");
-  return x;
-}
-
-double parse_real(const std::string& clause, const std::string& v) {
-  RD_CHECK_MSG(!v.empty(), "READDUO_FAULTS clause '" << clause
-                                                     << "': empty number");
-  errno = 0;
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  RD_CHECK_MSG(errno == 0 && end == v.c_str() + v.size(),
-               "READDUO_FAULTS clause '" << clause << "': '" << v
-                                         << "' is not a number");
-  RD_CHECK_MSG(x == x && x <= std::numeric_limits<double>::max() &&
-                   x >= -std::numeric_limits<double>::max(),
-               "READDUO_FAULTS clause '" << clause << "': '" << v
-                                         << "' is not finite");
-  return x;
+/// How strict-parse diagnostics name a value of `clause`.
+std::string in_clause(const std::string& clause) {
+  return "READDUO_FAULTS clause '" + clause + "'";
 }
 
 double parse_prob(const std::string& clause, const std::string& v) {
-  const double p = parse_real(clause, v);
+  const double p = parse_real(in_clause(clause), v);
   RD_CHECK_MSG(p >= 0.0 && p <= 1.0, "READDUO_FAULTS clause '"
                                          << clause << "': probability " << v
                                          << " outside [0, 1]");
@@ -187,11 +157,12 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   for (const std::string& raw : split(flat, ';')) {
     const std::string clause = trim(raw);
     if (clause.empty()) continue;
+    const std::string at = in_clause(clause);
 
     if (clause.rfind("seed=", 0) == 0) {
       RD_CHECK_MSG(!saw_seed, "READDUO_FAULTS: duplicate seed clause");
       saw_seed = true;
-      plan.seed = parse_uint(clause, trim(clause.substr(5)));
+      plan.seed = parse_uint(at, trim(clause.substr(5)));
       continue;
     }
 
@@ -205,7 +176,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
           parse_kvs(clause, body, {"p", "level", "line", "cell"});
       unsigned level = 3;
       if (kvs.has("level")) {
-        const std::uint64_t l = parse_uint(clause, kvs.get("level"));
+        const std::uint64_t l = parse_uint(at, kvs.get("level"));
         RD_CHECK_MSG(l <= 3, "READDUO_FAULTS clause '"
                                  << clause << "': level must be 0..3");
         level = static_cast<unsigned>(l);
@@ -217,8 +188,8 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                          << "': an explicit stuck cell needs line= and "
                             "cell= (and no p=)");
         plan.stuck_cells.push_back(
-            StuckAddress{parse_uint(clause, kvs.get("line")),
-                         parse_uint(clause, kvs.get("cell")), level});
+            StuckAddress{parse_uint(at, kvs.get("line")),
+                         parse_uint(at, kvs.get("cell")), level});
       } else {
         RD_CHECK_MSG(kvs.has("p"), "READDUO_FAULTS clause '"
                                        << clause
@@ -262,7 +233,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                      "READDUO_FAULTS clause '" << clause << "': needs p=");
         plan.sense_p = parse_prob(clause, kvs.get("p"));
         if (kvs.has("mag")) {
-          plan.sense_mag = parse_real(clause, kvs.get("mag"));
+          plan.sense_mag = parse_real(at, kvs.get("mag"));
           RD_CHECK_MSG(plan.sense_mag > 0.0,
                        "READDUO_FAULTS clause '" << clause
                                                  << "': mag must be > 0");
@@ -289,7 +260,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                      "READDUO_FAULTS clause '" << clause << "': needs p=");
         plan.bch_p = parse_prob(clause, kvs.get("p"));
         if (kvs.has("e")) {
-          const std::uint64_t e = parse_uint(clause, kvs.get("e"));
+          const std::uint64_t e = parse_uint(at, kvs.get("e"));
           // The interesting band: beyond correction (t = 8), within the
           // design-distance detection guarantee.
           RD_CHECK_MSG(e >= 9 && e <= 17,
@@ -320,8 +291,7 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
                                                << "': needs p= or n=");
         if (kvs.has("p")) plan.trace_p = parse_prob(clause, kvs.get("p"));
         if (kvs.has("n")) {
-          plan.trace_fail_reads =
-              static_cast<unsigned>(parse_uint(clause, kvs.get("n")));
+          plan.trace_fail_reads = parse_uint<unsigned>(at, kvs.get("n"));
         }
         break;
       }

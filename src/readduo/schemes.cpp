@@ -525,19 +525,32 @@ class SelectScheme : public LwtScheme {
 
 }  // namespace
 
+std::string scheme_cli_names() {
+  std::string out;
+  for (const auto& [name, kind] : kSchemeNames) {
+    if (!out.empty()) out += " | ";
+    out += name;
+  }
+  return out;
+}
+
+SchemeKind scheme_by_name(std::string_view name) {
+  for (const auto& [n, kind] : kSchemeNames) {
+    if (n == name) return kind;
+  }
+  RD_CHECK_MSG(false, "unknown scheme '" << name << "'; accepted: "
+                                         << scheme_cli_names());
+  return SchemeKind::kHybrid;
+}
+
 std::string scheme_name(SchemeKind kind, const ReadDuoOptions& opts) {
-  switch (kind) {
-    case SchemeKind::kIdeal: return "Ideal";
-    case SchemeKind::kTlc: return "TLC";
-    case SchemeKind::kScrubbing: return "Scrubbing";
-    case SchemeKind::kScrubbingW0: return "Scrubbing-W0";
-    case SchemeKind::kScrubbingBch10: return "Scrubbing-BCH10";
-    case SchemeKind::kMMetric: return "M-metric";
-    case SchemeKind::kHybrid: return "Hybrid";
-    case SchemeKind::kLwt: return "LWT-" + std::to_string(opts.k);
-    case SchemeKind::kSelect:
-      return "Select-" + std::to_string(opts.k) + ":" +
-             std::to_string(opts.select_s);
+  if (kind == SchemeKind::kLwt) return "LWT-" + std::to_string(opts.k);
+  if (kind == SchemeKind::kSelect) {
+    return "Select-" + std::to_string(opts.k) + ":" +
+           std::to_string(opts.select_s);
+  }
+  for (const auto& [name, k] : kSchemeNames) {
+    if (k == kind) return std::string(name);
   }
   RD_CHECK_MSG(false, "unknown scheme kind");
   return {};

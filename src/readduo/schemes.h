@@ -12,7 +12,11 @@
 //   Select     — ReadDuo-Select-(k:s): Lwt + selective differential write.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "readduo/conversion.h"
 #include "readduo/scheme_base.h"
@@ -61,7 +65,31 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
                                     const ReadDuoOptions& opts = {},
                                     const ScrubSettings& scrub = {});
 
-/// Human-readable scheme name ("LWT-4", "Select-4:2", ...).
+/// The scheme-name table: the command-line name of every SchemeKind.
+/// Every tool's --scheme flag resolves through it (scheme_by_name), and
+/// scheme_name() reads its fixed names from it.
+inline constexpr std::array<std::pair<std::string_view, SchemeKind>, 9>
+    kSchemeNames = {{
+        {"Ideal", SchemeKind::kIdeal},
+        {"TLC", SchemeKind::kTlc},
+        {"Scrubbing", SchemeKind::kScrubbing},
+        {"Scrubbing-W0", SchemeKind::kScrubbingW0},
+        {"Scrubbing-BCH10", SchemeKind::kScrubbingBch10},
+        {"M-metric", SchemeKind::kMMetric},
+        {"Hybrid", SchemeKind::kHybrid},
+        {"LWT", SchemeKind::kLwt},
+        {"Select", SchemeKind::kSelect},
+    }};
+
+/// Every accepted command-line name, joined as "Ideal | TLC | ...".
+std::string scheme_cli_names();
+
+/// The kind whose command-line name is `name`. Throws CheckFailure
+/// listing every accepted name otherwise.
+SchemeKind scheme_by_name(std::string_view name);
+
+/// Human-readable scheme name ("LWT-4", "Select-4:2", ...): the table
+/// name, with the LWT/Select tunables appended.
 std::string scheme_name(SchemeKind kind, const ReadDuoOptions& opts = {});
 
 }  // namespace rd::readduo

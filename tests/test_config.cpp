@@ -1,10 +1,7 @@
-// Tests for the permissive INI loader (common/config.h) and the strict
-// device-config subsystem (src/config/): parser grammar, schema
+// Tests for the device-config subsystem (src/config/): parser grammar, schema
 // validation diagnostics, unit suffixes, and the golden paper configs —
 // including the default-equivalence guarantee that
 // configs/pcm_readduo_t1.cfg reproduces builtin_device() bit-for-bit.
-#include "common/config.h"
-
 #include <cctype>
 #include <fstream>
 #include <set>
@@ -21,89 +18,6 @@
 
 namespace rd {
 namespace {
-
-Config parse(const std::string& text) {
-  std::istringstream in(text);
-  return Config::parse(in);
-}
-
-TEST(Config, ParsesSectionsAndKeys) {
-  const Config c = parse(
-      "top = 1\n"
-      "[cpu]\n"
-      "cores = 4\n"
-      "clock_ghz = 2.0\n"
-      "[memory]\n"
-      "banks = 8\n");
-  EXPECT_TRUE(c.has("top"));
-  EXPECT_EQ(c.get_int("cpu.cores", 0), 4);
-  EXPECT_DOUBLE_EQ(c.get_double("cpu.clock_ghz", 0.0), 2.0);
-  EXPECT_EQ(c.get_int("memory.banks", 0), 8);
-}
-
-TEST(Config, CommentsAndWhitespace) {
-  const Config c = parse(
-      "  # full-line comment\n"
-      "  key =   spaced value   ; trailing comment\n"
-      "\n"
-      "[ sec ]\n"
-      "k=v\n");
-  EXPECT_EQ(c.get_string("key"), "spaced value");
-  EXPECT_EQ(c.get_string("sec.k"), "v");
-}
-
-TEST(Config, DefaultsWhenAbsent) {
-  const Config c = parse("");
-  EXPECT_EQ(c.get_int("nope", 7), 7);
-  EXPECT_DOUBLE_EQ(c.get_double("nope", 1.5), 1.5);
-  EXPECT_TRUE(c.get_bool("nope", true));
-  EXPECT_EQ(c.get_string("nope", "d"), "d");
-  EXPECT_FALSE(c.has("nope"));
-}
-
-TEST(Config, BooleanSpellings) {
-  const Config c = parse(
-      "a = true\nb = FALSE\nc = 1\nd = off\ne = Yes\n");
-  EXPECT_TRUE(c.get_bool("a", false));
-  EXPECT_FALSE(c.get_bool("b", true));
-  EXPECT_TRUE(c.get_bool("c", false));
-  EXPECT_FALSE(c.get_bool("d", true));
-  EXPECT_TRUE(c.get_bool("e", false));
-}
-
-TEST(Config, IntegerBases) {
-  const Config c = parse("hex = 0x10\ndec = 42\nneg = -3\n");
-  EXPECT_EQ(c.get_int("hex", 0), 16);
-  EXPECT_EQ(c.get_int("dec", 0), 42);
-  EXPECT_EQ(c.get_int("neg", 0), -3);
-}
-
-TEST(Config, MalformedInputThrows) {
-  EXPECT_THROW(parse("[unterminated\n"), CheckFailure);
-  EXPECT_THROW(parse("[]\n"), CheckFailure);
-  EXPECT_THROW(parse("no equals sign\n"), CheckFailure);
-  EXPECT_THROW(parse("= value\n"), CheckFailure);
-}
-
-TEST(Config, TypeErrorsThrow) {
-  const Config c = parse("k = notanumber\nj = 12abc\n");
-  EXPECT_THROW(c.get_int("k", 0), CheckFailure);
-  EXPECT_THROW(c.get_int("j", 0), CheckFailure);
-  EXPECT_THROW(c.get_double("k", 0.0), CheckFailure);
-  EXPECT_THROW(c.get_bool("k", false), CheckFailure);
-}
-
-TEST(Config, LastValueWins) {
-  const Config c = parse("k = 1\nk = 2\n");
-  EXPECT_EQ(c.get_int("k", 0), 2);
-}
-
-TEST(Config, MissingFileThrows) {
-  EXPECT_THROW(Config::load("/nonexistent/readduo.ini"), CheckFailure);
-}
-
-// =====================================================================
-// Strict device-config subsystem (src/config/).
 
 using config::DeviceConfig;
 

@@ -1,7 +1,11 @@
 // Tests for the ReadDuo policy layer: steady-state sampler, conversion
 // controller, and the six schemes' decision logic.
+#include <set>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "readduo/conversion.h"
 #include "readduo/scheme_base.h"
 #include "readduo/schemes.h"
@@ -177,6 +181,48 @@ TEST(Schemes, FactoryNames) {
   opts.select_s = 3;
   EXPECT_EQ(make_scheme(SchemeKind::kSelect, env, opts)->name(),
             "Select-2:3");
+}
+
+// The scheme-name table behind every tool's --scheme flag.
+TEST(SchemeNames, EveryKindReachableByCliName) {
+  std::set<SchemeKind> reached;
+  for (const auto& [name, kind] : kSchemeNames) {
+    EXPECT_EQ(scheme_by_name(name), kind) << name;
+    reached.insert(kind);
+  }
+  EXPECT_EQ(reached.size(), kSchemeNames.size()) << "a kind is listed twice";
+  // kIdeal..kSelect are the enumerators in declaration order.
+  for (int k = 0; k <= static_cast<int>(SchemeKind::kSelect); ++k) {
+    EXPECT_EQ(reached.count(static_cast<SchemeKind>(k)), 1u) << k;
+  }
+}
+
+TEST(SchemeNames, AgreeWithSchemeName) {
+  for (const auto& [name, kind] : kSchemeNames) {
+    if (kind == SchemeKind::kLwt || kind == SchemeKind::kSelect) {
+      // Parametric: "LWT-4", "Select-4:2".
+      EXPECT_EQ(scheme_name(kind).rfind(std::string(name) + "-", 0), 0u)
+          << name;
+    } else {
+      EXPECT_EQ(scheme_name(kind), name);
+    }
+  }
+}
+
+TEST(SchemeNames, UnknownNameListsAcceptedNames) {
+  try {
+    scheme_by_name("Hybird");
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("unknown scheme 'Hybird'"), std::string::npos) << msg;
+    for (const auto& [name, kind] : kSchemeNames) {
+      EXPECT_NE(msg.find(std::string(name)), std::string::npos) << name;
+    }
+  }
+  EXPECT_THROW(scheme_by_name(""), CheckFailure);
+  EXPECT_THROW(scheme_by_name("hybrid"), CheckFailure);  // case-sensitive
+  EXPECT_THROW(scheme_by_name("LWT-4"), CheckFailure);   // a display name
 }
 
 TEST(Schemes, DensitiesMatchPaper) {

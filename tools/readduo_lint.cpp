@@ -74,9 +74,8 @@ const std::set<std::string>& env_registry() {
       "READDUO_FAULTS",        "READDUO_INSTR",        "READDUO_KERNELS",
       "READDUO_METRICS",       "READDUO_REGEN_GOLDEN", "READDUO_SANITIZE",
       "READDUO_SERVE_CONNS",   "READDUO_SERVE_MAX_FRAME",
-      "READDUO_SERVE_WBUF",    "READDUO_SERVICE_BATCH",
-      "READDUO_SERVICE_QUEUE", "READDUO_SERVICE_SHARDS",
-      "READDUO_THREADS",       "READDUO_TRACE",        "READDUO_TSAN_SOAK",
+      "READDUO_SERVE_WBUF",    "READDUO_THREADS",      "READDUO_TRACE",
+      "READDUO_TSAN_SOAK",
   };
   return kRegistry;
 }

@@ -1,7 +1,7 @@
 // readduo_load — closed-loop load generator for the memory service.
 //
 //   readduo_load --requests=1000000 --rps=2000000 --scheme=Hybrid
-//   READDUO_THREADS=4 READDUO_SERVICE_SHARDS=8 readduo_load
+//   READDUO_THREADS=4 readduo_load --shards=8
 //
 // Replays synthetic clients against a service::MemoryService at a
 // configurable *virtual* arrival rate: one submission thread generates
@@ -13,7 +13,7 @@
 // (optionally duplicated to --summary=<file> for run_all_benches.sh).
 //
 // The latency distributions are virtual-time quantities and bit-identical
-// for a fixed (seed, flags, READDUO_SERVICE_*) configuration regardless
+// for a fixed (seed, flags) configuration regardless
 // of READDUO_THREADS or wall-clock scheduling; only the throughput lines
 // (requests per wall second) vary per host.
 //
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "config/loader.h"
 #include "net/client.h"
@@ -61,8 +62,8 @@ void usage(const char* argv0) {
       "options:\n"
       "  --requests=<n>         requests to complete (default 1000000)\n"
       "  --rps=<r>              virtual arrival rate, req/s (default 2e6)\n"
-      "  --scheme=<name>        Ideal | Scrubbing | M-metric | Hybrid |\n"
-      "                         LWT | Select (default Hybrid)\n"
+      "  --scheme=<name>        default Hybrid; one of:\n"
+      "                         %s\n"
       "  --workload=<name>      locality/write-mix template (default mcf)\n"
       "  --device=<file>        device config (overrides READDUO_DEVICE;\n"
       "                         see configs/ and docs/DEVICE_CONFIGS.md)\n"
@@ -70,7 +71,8 @@ void usage(const char* argv0) {
       "  --seed=<n>             RNG seed (default 42)\n"
       "  --shards=<n>           chips (default 4)\n"
       "  --queue=<n>            per-shard submission queue bound\n"
-      "  --batch=<n>            admission batch size\n"
+      "                         (default 4096)\n"
+      "  --batch=<n>            admission batch size (default 256)\n"
       "  --report-every=<n>     live report every n completions\n"
       "                         (default 100000; 0 = quiet)\n"
       "  --summary=<file>       also write the final JSON to <file>\n"
@@ -82,32 +84,8 @@ void usage(const char* argv0) {
       "                         client-side ones (default 1)\n"
       "\n"
       "environment:\n"
-      "  READDUO_THREADS            service worker threads\n"
-      "  READDUO_SERVICE_SHARDS     default for --shards\n"
-      "  READDUO_SERVICE_QUEUE      default for --queue\n"
-      "  READDUO_SERVICE_BATCH      default for --batch\n",
-      argv0);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-readduo::SchemeKind scheme_by_name(const std::string& s) {
-  if (s == "Ideal") return readduo::SchemeKind::kIdeal;
-  if (s == "TLC") return readduo::SchemeKind::kTlc;
-  if (s == "Scrubbing") return readduo::SchemeKind::kScrubbing;
-  if (s == "M-metric") return readduo::SchemeKind::kMMetric;
-  if (s == "Hybrid") return readduo::SchemeKind::kHybrid;
-  if (s == "LWT") return readduo::SchemeKind::kLwt;
-  if (s == "Select") return readduo::SchemeKind::kSelect;
-  RD_CHECK_MSG(false, "unknown scheme: " + s);
-  return readduo::SchemeKind::kHybrid;
+      "  READDUO_THREADS            service worker threads\n",
+      argv0, readduo::scheme_cli_names().c_str());
 }
 
 // lint: allow(sig-seconds) wall_s is host wall-clock, not simulated time
@@ -441,50 +419,58 @@ int run_connect(const LoadRun& rc, const trace::Workload& w) {
 int main(int argc, char** argv) {
   LoadRun run;
   std::uint64_t report_every = 100'000;
-  std::string shards_flag, queue_flag, batch_flag;
   std::string device_path;
+  service::ServiceConfig cfg;
+  const trace::Workload* wp = nullptr;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_flag(argv[i], "--requests", v)) {
-      run.requests = std::stoull(v);
-    } else if (parse_flag(argv[i], "--device", v)) {
-      device_path = v;
-    } else if (parse_flag(argv[i], "--rps", v)) {
-      run.rps = std::stod(v);
-    } else if (parse_flag(argv[i], "--scheme", v)) {
-      run.scheme = v;
-    } else if (parse_flag(argv[i], "--workload", v)) {
-      run.workload = v;
-    } else if (parse_flag(argv[i], "--write-fraction", v)) {
-      run.write_fraction = std::stod(v);
-    } else if (parse_flag(argv[i], "--seed", v)) {
-      run.seed = std::stoull(v);
-    } else if (parse_flag(argv[i], "--shards", v)) {
-      shards_flag = v;
-    } else if (parse_flag(argv[i], "--queue", v)) {
-      queue_flag = v;
-    } else if (parse_flag(argv[i], "--batch", v)) {
-      batch_flag = v;
-    } else if (parse_flag(argv[i], "--report-every", v)) {
-      report_every = std::stoull(v);
-    } else if (parse_flag(argv[i], "--summary", v)) {
-      run.summary_path = v;
-    } else if (parse_flag(argv[i], "--connect", v)) {
-      run.addr = v;
-    } else if (parse_flag(argv[i], "--clients", v)) {
-      run.clients = std::stoull(v);
-    } else if (parse_flag(argv[i], "--window", v)) {
-      run.window = std::stoull(v);
-    } else if (parse_flag(argv[i], "--crosscheck", v)) {
-      run.crosscheck = std::stoull(v) != 0;
-    } else {
-      usage(argv[0]);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      std::string v;
+      if (parse_flag(argv[i], "--requests", v)) {
+        run.requests = parse_uint("--requests", v);
+      } else if (parse_flag(argv[i], "--device", v)) {
+        device_path = v;
+      } else if (parse_flag(argv[i], "--rps", v)) {
+        run.rps = parse_real("--rps", v);
+      } else if (parse_flag(argv[i], "--scheme", v)) {
+        run.scheme = v;
+      } else if (parse_flag(argv[i], "--workload", v)) {
+        run.workload = v;
+      } else if (parse_flag(argv[i], "--write-fraction", v)) {
+        run.write_fraction = parse_real("--write-fraction", v);
+      } else if (parse_flag(argv[i], "--seed", v)) {
+        run.seed = parse_uint("--seed", v);
+      } else if (parse_flag(argv[i], "--shards", v)) {
+        cfg.num_shards = parse_uint<unsigned>("--shards", v);
+      } else if (parse_flag(argv[i], "--queue", v)) {
+        cfg.queue_capacity = parse_uint<std::size_t>("--queue", v);
+      } else if (parse_flag(argv[i], "--batch", v)) {
+        cfg.batch_size = parse_uint<std::size_t>("--batch", v);
+      } else if (parse_flag(argv[i], "--report-every", v)) {
+        report_every = parse_uint("--report-every", v);
+      } else if (parse_flag(argv[i], "--summary", v)) {
+        run.summary_path = v;
+      } else if (parse_flag(argv[i], "--connect", v)) {
+        run.addr = v;
+      } else if (parse_flag(argv[i], "--clients", v)) {
+        run.clients = parse_uint<std::size_t>("--clients", v);
+      } else if (parse_flag(argv[i], "--window", v)) {
+        run.window = parse_uint<std::size_t>("--window", v);
+      } else if (parse_flag(argv[i], "--crosscheck", v)) {
+        run.crosscheck = parse_uint("--crosscheck", v) != 0;
+      } else {
+        usage(argv[0]);
+        return 2;
+      }
     }
+    RD_CHECK_MSG(run.requests >= 1, "--requests must be at least 1");
+    RD_CHECK_MSG(run.rps > 0.0, "--rps must be positive");
+    cfg.scheme = readduo::scheme_by_name(run.scheme);
+    wp = &trace::workload_by_name(run.workload);
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
-  RD_CHECK(run.requests >= 1);
-  RD_CHECK(run.rps > 0.0);
 
   // Pin the device before any simulation object latches it; the --device
   // flag wins over the READDUO_DEVICE env knob.
@@ -493,23 +479,15 @@ int main(int argc, char** argv) {
                               device_path);
   }
 
-  const trace::Workload& w = trace::workload_by_name(run.workload);
+  const trace::Workload& w = *wp;
   if (run.write_fraction < 0.0) {
     run.write_fraction = w.wpki / (w.rpki + w.wpki);
   }
 
   if (!run.addr.empty()) return run_connect(run, w);
 
-  service::ServiceConfig cfg;
   cfg.sim.seed = run.seed;
-  cfg.scheme = scheme_by_name(run.scheme);
   cfg.workload = w;
-  service::apply_service_env(cfg);  // env defaults, flags override
-  if (!shards_flag.empty()) {
-    cfg.num_shards = static_cast<unsigned>(std::stoul(shards_flag));
-  }
-  if (!queue_flag.empty()) cfg.queue_capacity = std::stoull(queue_flag);
-  if (!batch_flag.empty()) cfg.batch_size = std::stoull(batch_flag);
 
   service::MemoryService svc(cfg);
   std::printf(

@@ -22,6 +22,7 @@
 #include <string>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "config/loader.h"
 #include "net/server.h"
 #include "trace/workload.h"
@@ -44,83 +45,68 @@ void usage(const char* argv0) {
       "options:\n"
       "  --listen=<addr>   unix:<path> or tcp:<host>:<port> (port 0 =\n"
       "                    kernel-assigned; default unix:/tmp/rd.sock)\n"
-      "  --scheme=<name>   Ideal | Scrubbing | M-metric | Hybrid |\n"
-      "                    LWT | Select (default Hybrid)\n"
+      "  --scheme=<name>   default Hybrid; one of:\n"
+      "                    %s\n"
       "  --workload=<name> locality/write-mix template (default mcf)\n"
       "  --device=<file>   device config (overrides READDUO_DEVICE; a\n"
       "                    client hello naming another device is refused)\n"
       "  --seed=<n>        RNG seed (default 42)\n"
       "  --shards=<n>      chips (default 4)\n"
-      "  --queue=<n>       per-client admission bound\n"
-      "  --batch=<n>       admission batch size\n"
+      "  --queue=<n>       per-shard submission queue bound (default 4096)\n"
+      "  --batch=<n>       admission batch size (default 256)\n"
       "  --oneshot         exit when the last client disconnects\n"
       "\n"
       "environment:\n"
       "  READDUO_THREADS          service worker threads\n"
-      "  READDUO_SERVICE_SHARDS   default for --shards\n"
-      "  READDUO_SERVICE_QUEUE    default for --queue\n"
-      "  READDUO_SERVICE_BATCH    default for --batch\n"
       "  READDUO_SERVE_MAX_FRAME  largest accepted frame payload, bytes\n"
       "  READDUO_SERVE_WBUF       per-connection write-buffer bound\n"
-      "  READDUO_SERVE_CONNS     accepted-connection cap\n",
-      argv0);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-readduo::SchemeKind scheme_by_name(const std::string& s) {
-  if (s == "Ideal") return readduo::SchemeKind::kIdeal;
-  if (s == "TLC") return readduo::SchemeKind::kTlc;
-  if (s == "Scrubbing") return readduo::SchemeKind::kScrubbing;
-  if (s == "M-metric") return readduo::SchemeKind::kMMetric;
-  if (s == "Hybrid") return readduo::SchemeKind::kHybrid;
-  if (s == "LWT") return readduo::SchemeKind::kLwt;
-  if (s == "Select") return readduo::SchemeKind::kSelect;
-  RD_CHECK_MSG(false, "unknown scheme: " + s);
-  return readduo::SchemeKind::kHybrid;
+      "  READDUO_SERVE_CONNS      accepted-connection cap\n",
+      argv0, readduo::scheme_cli_names().c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string listen = "unix:/tmp/rd.sock";
   std::string scheme = "Hybrid";
   std::string workload = "mcf";
-  std::uint64_t seed = 42;
-  std::string shards_flag, queue_flag, batch_flag, device_path;
+  std::string device_path;
   bool oneshot = false;
+  net::ServerConfig cfg;
+  cfg.listen = "unix:/tmp/rd.sock";
+  service::ServiceConfig& svc = cfg.service;
+  svc.sim.seed = 42;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (parse_flag(argv[i], "--listen", v)) {
-      listen = v;
-    } else if (parse_flag(argv[i], "--device", v)) {
-      device_path = v;
-    } else if (parse_flag(argv[i], "--scheme", v)) {
-      scheme = v;
-    } else if (parse_flag(argv[i], "--workload", v)) {
-      workload = v;
-    } else if (parse_flag(argv[i], "--seed", v)) {
-      seed = std::stoull(v);
-    } else if (parse_flag(argv[i], "--shards", v)) {
-      shards_flag = v;
-    } else if (parse_flag(argv[i], "--queue", v)) {
-      queue_flag = v;
-    } else if (parse_flag(argv[i], "--batch", v)) {
-      batch_flag = v;
-    } else if (std::strcmp(argv[i], "--oneshot") == 0) {
-      oneshot = true;
-    } else {
-      usage(argv[0]);
-      return 2;
+  try {
+    for (int i = 1; i < argc; ++i) {
+      std::string v;
+      if (parse_flag(argv[i], "--listen", v)) {
+        cfg.listen = v;
+      } else if (parse_flag(argv[i], "--device", v)) {
+        device_path = v;
+      } else if (parse_flag(argv[i], "--scheme", v)) {
+        scheme = v;
+      } else if (parse_flag(argv[i], "--workload", v)) {
+        workload = v;
+      } else if (parse_flag(argv[i], "--seed", v)) {
+        svc.sim.seed = parse_uint("--seed", v);
+      } else if (parse_flag(argv[i], "--shards", v)) {
+        svc.num_shards = parse_uint<unsigned>("--shards", v);
+      } else if (parse_flag(argv[i], "--queue", v)) {
+        svc.queue_capacity = parse_uint<std::size_t>("--queue", v);
+      } else if (parse_flag(argv[i], "--batch", v)) {
+        svc.batch_size = parse_uint<std::size_t>("--batch", v);
+      } else if (std::strcmp(argv[i], "--oneshot") == 0) {
+        oneshot = true;
+      } else {
+        usage(argv[0]);
+        return 2;
+      }
     }
+    svc.scheme = readduo::scheme_by_name(scheme);
+    svc.workload = trace::workload_by_name(workload);
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   // Pin the device before the service builds its chips; the --device
@@ -129,21 +115,7 @@ int main(int argc, char** argv) {
     config::set_active_device(config::load_device(device_path),
                               device_path);
   }
-
-  net::ServerConfig cfg;
-  cfg.listen = listen;
   net::apply_server_env(cfg);
-  cfg.service.sim.seed = seed;
-  cfg.service.scheme = scheme_by_name(scheme);
-  cfg.service.workload = trace::workload_by_name(workload);
-  service::apply_service_env(cfg.service);  // env defaults, flags override
-  if (!shards_flag.empty()) {
-    cfg.service.num_shards = static_cast<unsigned>(std::stoul(shards_flag));
-  }
-  if (!queue_flag.empty()) {
-    cfg.service.queue_capacity = std::stoull(queue_flag);
-  }
-  if (!batch_flag.empty()) cfg.service.batch_size = std::stoull(batch_flag);
 
   net::Server server(cfg);
   server.start();
@@ -158,9 +130,8 @@ int main(int argc, char** argv) {
       "queue=%zu batch=%zu seed=%llu%s\n",
       scheme.c_str(), config::active_device().name.c_str(),
       workload.c_str(), server.service().num_shards(),
-      server.service().worker_threads(), cfg.service.queue_capacity,
-      cfg.service.batch_size, static_cast<unsigned long long>(seed),
-      oneshot ? " oneshot" : "");
+      server.service().worker_threads(), svc.queue_capacity, svc.batch_size,
+      static_cast<unsigned long long>(svc.sim.seed), oneshot ? " oneshot" : "");
   std::fflush(stdout);
 
   server.run(oneshot);

@@ -1,7 +1,7 @@
 // readduo_sim — the command-line front end to the full simulator stack.
 //
 //   readduo_sim --scheme=LWT --workload=mcf --instructions=6000000
-//   readduo_sim --scheme=Select --k=4 --s=2 --config=system.ini
+//   readduo_sim --scheme=Select --k=4 --s=2
 //   readduo_sim configs/rram_iss2012.cfg --scheme=Hybrid --workload=mcf
 //   readduo_sim --list
 //
@@ -9,15 +9,14 @@
 // execution time, read-mode mix, energy decomposition, endurance, and
 // reliability events. A positional <device.cfg> (or --device=<file>)
 // selects a device from the zoo (configs/; schema in
-// docs/DEVICE_CONFIGS.md); --config INI overrides remain for ad-hoc
-// system (CPU / row-buffer) parameters.
+// docs/DEVICE_CONFIGS.md) — the one way to change device, memory and
+// energy parameters. Numeric flags are parsed strictly: a malformed
+// value exits 2 with a diagnostic naming the flag.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
 #include <string>
 
-#include "common/config.h"
+#include "common/parse.h"
 #include "config/apply.h"
 #include "config/loader.h"
 #include "memsim/env.h"
@@ -32,21 +31,6 @@ using namespace rd;
 
 namespace {
 
-const std::map<std::string, readduo::SchemeKind>& scheme_names() {
-  static const std::map<std::string, readduo::SchemeKind> kMap = {
-      {"Ideal", readduo::SchemeKind::kIdeal},
-      {"TLC", readduo::SchemeKind::kTlc},
-      {"Scrubbing", readduo::SchemeKind::kScrubbing},
-      {"Scrubbing-W0", readduo::SchemeKind::kScrubbingW0},
-      {"Scrubbing-BCH10", readduo::SchemeKind::kScrubbingBch10},
-      {"M-metric", readduo::SchemeKind::kMMetric},
-      {"Hybrid", readduo::SchemeKind::kHybrid},
-      {"LWT", readduo::SchemeKind::kLwt},
-      {"Select", readduo::SchemeKind::kSelect},
-  };
-  return kMap;
-}
-
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -58,9 +42,8 @@ void usage(const char* argv0) {
       "                         docs/DEVICE_CONFIGS.md)\n"
       "  --device=<file>        select the device config; overrides the\n"
       "                         READDUO_DEVICE environment knob\n"
-      "  --scheme=<name>        Ideal | TLC | Scrubbing | Scrubbing-W0 |\n"
-      "                         Scrubbing-BCH10 | M-metric | Hybrid | LWT |"
-      " Select\n"
+      "  --scheme=<name>        one of:\n"
+      "                         %s\n"
       "  --workload=<name>      one of the 14 SPEC2006 workloads (--list)\n"
       "  --instructions=<n>     per-core instruction budget (default 2M)\n"
       "  --seed=<n>             RNG seed (default 42)\n"
@@ -68,82 +51,67 @@ void usage(const char* argv0) {
       "  --no-conversion        disable R-M-read -> write conversion\n"
       "  --row-buffer           enable the open-page row-buffer model\n"
       "  --json                 emit a machine-readable JSON report\n"
-      "  --config=<file>        INI overrides: [cpu] cores, clock_ghz,\n"
-      "                         read_stall_fraction; [memory] capacity_gb,\n"
-      "                         banks; [energy] r_read_pj, m_read_pj,\n"
-      "                         cell_write_pj\n"
       "  --list                 list workloads and exit\n"
       "\n"
       "environment:\n"
       "  READDUO_TRACE=<n>      keep the last n simulator events and dump\n"
       "                         them to stderr on a reliability event\n",
-      argv0);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
+      argv0, readduo::scheme_cli_names().c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string scheme_name, workload_name = "mcf", config_path, value;
-  std::string device_path;
+  std::string scheme_arg, workload_name = "mcf", device_path, v;
   std::uint64_t instructions = 2'000'000, seed = 42;
   readduo::ReadDuoOptions opts;
+  readduo::SchemeKind kind{};
   bool row_buffer = false;
   bool json = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--list") == 0) {
-      for (const auto& w : trace::spec2006_workloads()) {
-        std::printf("%-12s rpki=%.2f wpki=%.2f\n", w.name.c_str(), w.rpki,
-                    w.wpki);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* a = argv[i];
+      if (std::strcmp(a, "--list") == 0) {
+        for (const auto& w : trace::spec2006_workloads()) {
+          std::printf("%-12s rpki=%.2f wpki=%.2f\n", w.name.c_str(), w.rpki,
+                      w.wpki);
+        }
+        return 0;
+      } else if (std::strcmp(a, "--help") == 0) {
+        usage(argv[0]);
+        return 0;
+      } else if (std::strcmp(a, "--no-conversion") == 0) {
+        opts.conversion = false;
+      } else if (std::strcmp(a, "--row-buffer") == 0) {
+        row_buffer = true;
+      } else if (std::strcmp(a, "--json") == 0) {
+        json = true;
+      } else if (parse_flag(a, "--scheme", scheme_arg) ||
+                 parse_flag(a, "--workload", workload_name) ||
+                 parse_flag(a, "--device", device_path)) {
+        // handled
+      } else if (a[0] != '-' && std::strlen(a) > 4 &&
+                 std::strcmp(a + std::strlen(a) - 4, ".cfg") == 0) {
+        device_path = a;  // positional device config
+      } else if (parse_flag(a, "--instructions", v)) {
+        instructions = parse_uint("--instructions", v);
+      } else if (parse_flag(a, "--seed", v)) {
+        seed = parse_uint("--seed", v);
+      } else if (parse_flag(a, "--k", v)) {
+        opts.k = parse_uint<unsigned>("--k", v);
+      } else if (parse_flag(a, "--s", v)) {
+        opts.select_s = parse_uint<unsigned>("--s", v);
+      } else {
+        std::fprintf(stderr, "unknown option: %s\n", a);
+        usage(argv[0]);
+        return 2;
       }
-      return 0;
-    } else if (std::strcmp(a, "--help") == 0) {
-      usage(argv[0]);
-      return 0;
-    } else if (std::strcmp(a, "--no-conversion") == 0) {
-      opts.conversion = false;
-    } else if (std::strcmp(a, "--row-buffer") == 0) {
-      row_buffer = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      json = true;
-    } else if (parse_flag(a, "--scheme", scheme_name) ||
-               parse_flag(a, "--workload", workload_name) ||
-               parse_flag(a, "--config", config_path) ||
-               parse_flag(a, "--device", device_path)) {
-      // handled
-    } else if (a[0] != '-' && std::strlen(a) > 4 &&
-               std::strcmp(a + std::strlen(a) - 4, ".cfg") == 0) {
-      device_path = a;  // positional device config
-    } else if (parse_flag(a, "--instructions", value)) {
-      instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(a, "--seed", value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(a, "--k", value)) {
-      opts.k = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(a, "--s", value)) {
-      opts.select_s =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    } else {
-      std::fprintf(stderr, "unknown option: %s\n", a);
-      usage(argv[0]);
-      return 2;
     }
-  }
-
-  const auto it = scheme_names().find(scheme_name);
-  if (it == scheme_names().end()) {
-    std::fprintf(stderr, "unknown or missing --scheme\n");
-    usage(argv[0]);
+    RD_CHECK_MSG(!scheme_arg.empty(), "missing --scheme=<name>");
+    kind = readduo::scheme_by_name(scheme_arg);
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
   }
 
@@ -164,32 +132,9 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     cfg.row_buffer.enabled = row_buffer;
     cfg.trace_events = stats::trace_ring_capacity_from_env();
-    readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
+    const readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
 
-    if (!config_path.empty()) {
-      const Config ini = Config::load(config_path);
-      cfg.cpu.num_cores = static_cast<unsigned>(
-          ini.get_int("cpu.cores", cfg.cpu.num_cores));
-      cfg.cpu.clock_ghz = ini.get_double("cpu.clock_ghz", cfg.cpu.clock_ghz);
-      cfg.cpu.read_stall_fraction = ini.get_double(
-          "cpu.read_stall_fraction", cfg.cpu.read_stall_fraction);
-      cfg.org.capacity_bytes =
-          static_cast<std::uint64_t>(ini.get_int(
-              "memory.capacity_gb",
-              static_cast<std::int64_t>(cfg.org.capacity_bytes >> 30)))
-          << 30;
-      cfg.org.num_banks = static_cast<unsigned>(
-          ini.get_int("memory.banks", cfg.org.num_banks));
-      env.energy.r_read =
-          Pj{ini.get_double("energy.r_read_pj", env.energy.r_read.v)};
-      env.energy.m_read =
-          Pj{ini.get_double("energy.m_read_pj", env.energy.m_read.v)};
-      env.energy.cell_write =
-          Pj{ini.get_double("energy.cell_write_pj", env.energy.cell_write.v)};
-      env = memsim::make_scheme_env(w, cfg.cpu, seed);  // rate from cpu
-    }
-
-    auto scheme = readduo::make_scheme(it->second, env, opts);
+    auto scheme = readduo::make_scheme(kind, env, opts);
     memsim::Simulator sim(cfg, *scheme, w);
     const memsim::SimResult r = sim.run();
     const auto& c = scheme->counters();

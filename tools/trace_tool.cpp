@@ -5,13 +5,14 @@
 //
 // `record` captures a synthetic workload stream to a portable text trace;
 // `stats` prints the Table X-style characterization of any trace file
-// (including externally produced ones in the same format).
+// (including externally produced ones in the same format). Numbers are
+// parsed strictly: a malformed <n_ops>, [core] or [seed] exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 
@@ -28,19 +29,26 @@ int main(int argc, char** argv) {
   }
   try {
     if (std::strcmp(argv[1], "record") == 0) {
-      RD_CHECK_MSG(argc >= 5, "record needs <workload> <n_ops> <out>");
-      const trace::Workload& w = trace::workload_by_name(argv[2]);
-      const std::size_t n = std::strtoull(argv[3], nullptr, 10);
-      const unsigned core =
-          argc > 5 ? static_cast<unsigned>(std::atoi(argv[5])) : 0;
-      const std::uint64_t seed =
-          argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 42;
+      const trace::Workload* w = nullptr;
+      std::size_t n = 0;
+      unsigned core = 0;
+      std::uint64_t seed = 42;
+      try {
+        RD_CHECK_MSG(argc >= 5, "record needs <workload> <n_ops> <out>");
+        w = &trace::workload_by_name(argv[2]);
+        n = parse_uint<std::size_t>("n_ops", argv[3]);
+        if (argc > 5) core = parse_uint<unsigned>("core", argv[5]);
+        if (argc > 6) seed = parse_uint("seed", argv[6]);
+      } catch (const CheckFailure& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+      }
       std::ofstream out(argv[4]);
       RD_CHECK_MSG(static_cast<bool>(out), "cannot open " << argv[4]);
-      trace::TraceGen gen(w, core, seed);
+      trace::TraceGen gen(*w, core, seed);
       trace::record_trace(gen, n, out);
       std::printf("recorded %zu ops of %s (core %u, seed %llu) to %s\n", n,
-                  w.name.c_str(), core,
+                  w->name.c_str(), core,
                   static_cast<unsigned long long>(seed), argv[4]);
       return 0;
     }
