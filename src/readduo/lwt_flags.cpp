@@ -2,10 +2,9 @@
 
 namespace rd::readduo {
 
-LwtFlags::LwtFlags(unsigned k) : k_(k) {
+LwtFlags::LwtFlags(unsigned k) : k_(static_cast<std::uint8_t>(k)) {
   RD_CHECK_MSG(k >= 2 && k <= 32 && (k & (k - 1)) == 0,
                "LWT-k requires k a power of two in [2, 32]");
-  log2k_ = 0;
   for (unsigned v = k; v > 1; v >>= 1) ++log2k_;
 }
 
@@ -25,7 +24,7 @@ void LwtFlags::on_write(unsigned s) {
   // from the previous cycle; retire them before recording the new write.
   clear_between(ind_, s);
   vec_ |= 1u << s;
-  ind_ = s;
+  ind_ = static_cast<std::uint8_t>(s);
 }
 
 void LwtFlags::on_scrub(bool rewrote) {
@@ -53,7 +52,7 @@ void LwtFlags::corrupt_vector_bit(unsigned bit) {
 
 void LwtFlags::corrupt_index(unsigned index) {
   RD_CHECK(index < k_);
-  ind_ = index;
+  ind_ = static_cast<std::uint8_t>(index);
 }
 
 bool LwtFlags::tracked_for_read(unsigned s) const {

@@ -52,10 +52,14 @@ class LwtFlags {
   /// Clear vector bits with labels in the cyclic open range (from, to).
   void clear_between(unsigned from, unsigned to);
 
-  unsigned k_;
-  unsigned log2k_;
+  // Packed into 8 bytes: one of these sits in every line-table slot, and
+  // k <= 32 fits every field in a byte.
   std::uint32_t vec_ = 0;
-  unsigned ind_ = 0;
+  std::uint8_t k_;
+  std::uint8_t log2k_ = 0;
+  std::uint8_t ind_ = 0;
 };
+
+static_assert(sizeof(LwtFlags) == 8, "LwtFlags is packed into 8 bytes");
 
 }  // namespace rd::readduo

@@ -1,6 +1,9 @@
 #include "readduo/scheme_base.h"
 
+#include <sys/mman.h>
+
 #include <cmath>
+#include <new>
 
 #include "common/check.h"
 #include "config/loader.h"
@@ -73,18 +76,63 @@ double SchemeBase::sample_workload_age(std::uint64_t line, bool archive,
 
 void SchemeBase::init_line(LineState&, std::uint64_t, Ns, bool) {}
 
+SchemeBase::LineTable::~LineTable() {
+  if (slots_ != nullptr) munmap(slots_, capacity() * sizeof(Slot));
+}
+
+LineState* SchemeBase::LineTable::find(std::uint64_t line) {
+  RD_CHECK(line != UINT64_MAX);
+  if (slots_ == nullptr) return nullptr;
+  const std::uint64_t key = line + 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask_) {
+    if (slots_[i].key == key) return &slots_[i].state;
+    if (slots_[i].key == 0) return nullptr;
+  }
+}
+
+LineState& SchemeBase::LineTable::insert(std::uint64_t line,
+                                         const LineState& st) {
+  if (4 * (size_ + 1) > 3 * capacity()) grow();
+  const std::uint64_t key = line + 1;
+  std::size_t i = home(key);
+  while (slots_[i].key != 0) i = (i + 1) & mask_;
+  ++size_;
+  return (new (&slots_[i]) Slot{key, st})->state;
+}
+
+void SchemeBase::LineTable::grow() {
+  Slot* const old = slots_;
+  const std::size_t old_cap = capacity();
+  const unsigned log2 = old == nullptr ? kInitialLog2 : (64 - shift_) + 1;
+  const std::size_t cap = std::size_t{1} << log2;
+  // Anonymous pages arrive zeroed, i.e. every slot empty.
+  void* mem = mmap(nullptr, cap * sizeof(Slot), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  RD_CHECK_MSG(mem != MAP_FAILED, "line table: cannot map "
+                                      << cap * sizeof(Slot) << " bytes");
+  slots_ = static_cast<Slot*>(mem);
+  mask_ = cap - 1;
+  shift_ = 64 - log2;
+  for (std::size_t j = 0; j < old_cap; ++j) {
+    if (old[j].key == 0) continue;
+    std::size_t i = home(old[j].key);
+    while (slots_[i].key != 0) i = (i + 1) & mask_;
+    new (&slots_[i]) Slot(old[j]);
+  }
+  if (old != nullptr) munmap(old, old_cap * sizeof(Slot));
+}
+
 LineState& SchemeBase::state_of(std::uint64_t line, Ns now, bool archive,
                                 FirstTouch touch) {
-  auto it = lines_.find(line);
-  if (it == lines_.end()) {
-    LineState st;
-    const double age = sample_initial_age(line, archive, touch, rng_);
-    st.last_write_s = now.seconds() - age;
-    st.last_full_write_s = st.last_write_s;
-    it = lines_.emplace(line, st).first;
-    init_line(it->second, line, now, archive);
-  }
-  return it->second;
+  if (LineState* st = lines_.find(line)) return *st;
+  // The age is drawn before the insert, so the RNG stream is the same
+  // whatever the table does.
+  LineState st;
+  st.last_full_write_s =
+      now.seconds() - sample_initial_age(line, archive, touch, rng_);
+  LineState& slot = lines_.insert(line, st);
+  init_line(slot, line, now, archive);
+  return slot;
 }
 
 unsigned SchemeBase::sample_r_errors(std::uint64_t line,
@@ -110,7 +158,6 @@ unsigned SchemeBase::sample_m_errors(const LineState& st, Ns now) {
 }
 
 WriteOutcome SchemeBase::full_write(LineState& st, Ns now) {
-  st.last_write_s = now.seconds();
   st.last_full_write_s = now.seconds();
   WriteOutcome w;
   w.latency = env_.timing.write;

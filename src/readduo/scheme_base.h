@@ -2,8 +2,8 @@
 // sampling, drift-error sampling, and energy accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -64,11 +64,9 @@ enum class FirstTouch { kRead, kWrite };
 /// Per-line simulator-side state.
 struct LineState {
   /// Absolute time (seconds, may be negative = before the window) of the
-  /// last write of any kind.
-  double last_write_s = 0.0;
-  /// Last *full-line* write; differs from last_write_s only under
-  /// ReadDuo-Select. Drift-error sampling keys off this one: differential
-  /// writes leave unmodified cells drifting from the older time.
+  /// last *full-line* write. Drift-error sampling keys off it: a
+  /// ReadDuo-Select differential write leaves unmodified cells drifting
+  /// from the older time, so it does not move this clock.
   double last_full_write_s = 0.0;
   /// LWT flag bits (only meaningful for LWT/Select schemes).
   LwtFlags flags{4};
@@ -142,17 +140,58 @@ class SchemeBase : public Scheme {
   /// Account read energy by mode.
   void add_read_energy(ReadMode mode);
 
+  /// Slot capacity of the line table (a power of two; tests pin growth
+  /// with it).
+  std::size_t line_slots() const { return lines_.capacity(); }
+
  private:
+  /// Flat open-addressing map line -> LineState: linear probing over a
+  /// power-of-two slot array, Fibonacci hashing, at most 3/4 full. A slot
+  /// stores key = line + 1, so an all-zero slot is empty and fresh pages
+  /// need no initialization; line UINT64_MAX is therefore not storable.
+  /// The slots live in an anonymous mapping that is unmapped on growth,
+  /// so a doubling returns the old array to the OS instead of stranding
+  /// it in the heap. Never iterated: outputs cannot depend on its layout.
+  class LineTable {
+   public:
+    LineTable() = default;
+    ~LineTable();
+    LineTable(const LineTable&) = delete;
+    LineTable& operator=(const LineTable&) = delete;
+
+    /// The state of `line`, or nullptr if it was never inserted.
+    LineState* find(std::uint64_t line);
+    /// Insert a line that find() just missed; returns its slot. May grow
+    /// the table, which invalidates every LineState pointer/reference.
+    LineState& insert(std::uint64_t line, const LineState& st);
+    std::size_t capacity() const { return slots_ != nullptr ? mask_ + 1 : 0; }
+
+   private:
+    struct Slot {
+      std::uint64_t key;  ///< line + 1; 0 = empty
+      LineState state;
+    };
+    std::size_t home(std::uint64_t key) const {
+      return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                      shift_);
+    }
+    void grow();
+
+    static constexpr unsigned kInitialLog2 = 10;
+    Slot* slots_ = nullptr;
+    std::size_t mask_ = 0;  ///< capacity - 1 once allocated
+    unsigned shift_ = 64;   ///< 64 - log2(capacity)
+    std::size_t size_ = 0;
+  };
+
   std::string name_;
   SchemeEnv env_;
   /// env_.faults, or the process engine when that is null; resolved once
   /// at construction so the hot path is a plain pointer test.
   const faults::FaultEngine* faults_;
   Rng rng_;
-  /// Ordered by line address: lookups are keyed, but an ordered map keeps
-  /// any future iteration (dumps, scrubs walking the population)
-  /// deterministic by construction.
-  std::map<std::uint64_t, LineState> lines_;
+  /// Per-line state, created on first touch by state_of().
+  LineTable lines_;
 };
 
 }  // namespace rd::readduo

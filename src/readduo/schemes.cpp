@@ -508,7 +508,6 @@ class SelectScheme : public LwtScheme {
       unsigned cells = rng().binomial(n, opts_.changed_cell_fraction) +
                        sample_r_errors(line, st, now);
       cells = std::min(cells, n);
-      st.last_write_s = now.seconds();
       ++counters_.demand_diff_writes;
       counters_.cell_writes += cells;
       counters_.write_energy_pj +=

@@ -35,6 +35,7 @@ MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
       cfg_.worker_threads ? cfg_.worker_threads : parallel_thread_count();
   worker_count_ =
       std::min<unsigned>(std::max(1u, requested), cfg_.num_shards);
+  worker_park_ = std::make_unique<Parking[]>(worker_count_);
   workers_.reserve(worker_count_);
   for (unsigned w = 0; w < worker_count_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -43,26 +44,53 @@ MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
 
 MemoryService::~MemoryService() { stop(); }
 
+void MemoryService::Parking::begin() {
+  // Dekker pairing, all seq-cst: the waker modifies a predicate variable
+  // and then loads `sleepers`; the sleeper increments `sleepers` and then
+  // loads the predicate variable. In the single seq-cst order, either
+  // the waker's load sees this sleeper or the predicate sees the change.
+  sleepers.fetch_add(1, std::memory_order_seq_cst);
+}
+
+void MemoryService::Parking::wake() {
+  // Nobody parked: no lock, no futex call.
+  if (sleepers.load(std::memory_order_seq_cst) == 0) return;
+  { MutexLock g(mu); }
+  cv.notify_all();
+}
+
+void MemoryService::publish() {
+  epoch_.fetch_add(1, std::memory_order_seq_cst);
+}
+
 void MemoryService::signal() {
-  epoch_.fetch_add(1, std::memory_order_release);
-  { MutexLock g(state_mu_); }
-  state_cv_.notify_all();
+  publish();
+  for (unsigned w = 0; w < worker_count_; ++w) worker_park_[w].wake();
 }
 
 bool MemoryService::submit(const Request& req) {
   RD_CHECK(req.id != 0);
-  Shard& sh = *shards_[shard_of(req.line)];
+  const unsigned shard = shard_of(req.line);
+  Shard& sh = *shards_[shard];
+  bool was_empty = false;
   {
     MutexLock g(sh.q_mu);
     if (sh.q.size() >= cfg_.queue_capacity) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
+    was_empty = sh.q.empty();
     sh.q.push_back(req);
     ++sh.submitted;
     sh.pending.fetch_add(1, std::memory_order_relaxed);
   }
-  signal();
+  // Only the empty -> non-empty edge can find the shard's worker parked:
+  // a worker that popped a batch loops again before it parks, and so
+  // sees anything pushed behind that batch. Only that worker is woken.
+  if (was_empty) {
+    publish();
+    worker_park_[shard % worker_count_].wake();
+  }
   return true;
 }
 
@@ -225,11 +253,17 @@ bool MemoryService::service_shard(Shard& sh) {
       MutexLock g(comp_mu_);
       completions_.insert(completions_.end(), done.begin(), done.end());
     }
-    sh.pending.fetch_sub(harvested, std::memory_order_relaxed);
+    // Another worker's progress creates no work for this one, so only
+    // drain() can be waiting on it — and only for a shard's last
+    // completion (total_pending() reaches 0 through some shard's 0).
+    // Seq-cst: this is the waker's half of drain()'s Dekker pairing.
+    if (sh.pending.fetch_sub(harvested, std::memory_order_seq_cst) ==
+        harvested) {
+      drain_park_.wake();
+    }
   }
-  if (progressed) signal();
-  // After signal(), with no service locks held: the hook may poke file
-  // descriptors or condition variables of its own.
+  // With no service locks held: the hook may poke file descriptors or
+  // condition variables of its own.
   if (harvested > 0 && cfg_.completion_hook) cfg_.completion_hook();
   return progressed;
 }
@@ -243,9 +277,11 @@ std::uint64_t MemoryService::owned_pending(unsigned worker) const {
 }
 
 std::uint64_t MemoryService::total_pending() const {
+  // Seq-cst: drain()'s wait predicate (the sleeper's half of the pairing
+  // with service_shard's decrement).
   std::uint64_t n = 0;
   for (const auto& sh : shards_) {
-    n += sh->pending.load(std::memory_order_relaxed);
+    n += sh->pending.load(std::memory_order_seq_cst);
   }
   return n;
 }
@@ -261,20 +297,23 @@ void MemoryService::worker_main(unsigned worker) {
     if (stop_.load(std::memory_order_relaxed) && owned_pending(worker) == 0) {
       return;
     }
+    Parking& park = worker_park_[worker];
     {
-      MutexLock lk(state_mu_);
+      MutexLock lk(park.mu);
+      park.begin();
       // While quiescing, a worker with in-flight requests keeps stepping
       // (the drain-chunk branch in service_shard counts as progress), so
       // this wait only parks workers with genuinely nothing to do. The
       // predicate is open-coded: every term is an atomic, and a lambda
       // would be analyzed as an unannotated function (see CondVar).
       while (!(stop_.load(std::memory_order_relaxed) ||
-               epoch_.load(std::memory_order_acquire) != seen ||
+               epoch_.load(std::memory_order_seq_cst) != seen ||
                ((draining_.load(std::memory_order_relaxed) ||
                  seq_quiesce_.load(std::memory_order_relaxed)) &&
                 owned_pending(worker) > 0))) {
-        state_cv_.wait(state_mu_);
+        park.cv.wait(park.mu);
       }
+      park.sleepers.fetch_sub(1, std::memory_order_relaxed);
     }
     if (stop_.load(std::memory_order_relaxed) && owned_pending(worker) == 0) {
       return;
@@ -286,8 +325,10 @@ void MemoryService::drain() {
   draining_.store(true, std::memory_order_relaxed);
   signal();
   {
-    MutexLock lk(state_mu_);
-    while (total_pending() != 0) state_cv_.wait(state_mu_);
+    MutexLock lk(drain_park_.mu);
+    drain_park_.begin();
+    while (total_pending() != 0) drain_park_.cv.wait(drain_park_.mu);
+    drain_park_.sleepers.fetch_sub(1, std::memory_order_relaxed);
   }
   draining_.store(false, std::memory_order_relaxed);
 }

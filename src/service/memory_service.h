@@ -35,7 +35,15 @@
 // buffer releases into shard queues while holding seq_mu_, which is what
 // makes the release order deterministic); otherwise strictly
 // one-at-a-time — no code path holds two shard mutexes, or a shard
-// mutex and state_mu_, simultaneously. comp_mu_ is a leaf.
+// mutex and a parking mutex, simultaneously. comp_mu_ is a leaf.
+//
+// Wakeups (DESIGN.md §11): each worker parks on its own Parking spot and
+// drain() on another. submit() wakes only on a shard queue's empty ->
+// non-empty edge, and only the shard's worker; a worker's completions
+// wake only drain(). A spot's mutex and condition variable are touched
+// only while its atomic sleeper count is nonzero, Dekker-ordered
+// (seq-cst) against the work epoch, or, for drain(), the pending counts.
+// With workers busy, a submission costs one queue lock and no futex call.
 #pragma once
 
 #include <atomic>
@@ -203,7 +211,7 @@ class MemoryService {
 
     /// submitted - completed, maintained lock-free so quiescence checks
     /// (cv predicates) never touch the shard mutexes. Lock order is
-    /// strictly shard mutex -> nothing; state_mu_ -> nothing.
+    /// strictly shard mutex -> nothing; parking mutex -> nothing.
     std::atomic<std::uint64_t> pending{0};
   };
 
@@ -241,21 +249,40 @@ class MemoryService {
   bool service_shard(Shard& sh) RD_EXCLUDES(sh.q_mu, sh.sim_mu);
   std::uint64_t owned_pending(unsigned worker) const;
   std::uint64_t total_pending() const;
-  /// Bump the work epoch and wake sleepers; the empty critical section
-  /// closes the lost-wakeup window against cv predicate evaluation.
-  void signal() RD_EXCLUDES(state_mu_);
+
+  /// Where a thread sleeps: a condition variable plus an atomic count of
+  /// its sleepers, so waking an empty spot costs one load. A sleeper
+  /// takes mu, calls begin(), waits until its predicate (atomics only)
+  /// holds, then decrements sleepers.
+  struct Parking {
+    /// Condition-protocol mutex: it orders sleep/wake against the
+    /// atomic predicate terms and guards no plain field.
+    Mutex mu;
+    CondVar cv;
+    std::atomic<unsigned> sleepers{0};
+
+    /// Count the caller (holding mu) as a sleeper, before its predicate.
+    void begin() RD_REQUIRES(mu);
+    /// Wake the spot's sleepers, if any. The caller must first have
+    /// changed a variable its sleepers' predicate reads, by a seq-cst
+    /// RMW that the predicate loads seq-cst.
+    void wake() RD_EXCLUDES(mu);
+  };
+
+  /// Bump the work epoch (seq-cst), which every worker predicate reads:
+  /// the waker's half of the Dekker pairing with Parking::begin().
+  void publish();
+  /// publish(), then wake every worker.
+  void signal();
 
   ServiceConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
   unsigned worker_count_ = 1;
   std::vector<std::thread> workers_;
 
-  /// Condition-protocol mutex: it orders sleep/wake against the atomic
-  /// flags below (see signal()) and guards no plain fields, so nothing
-  /// carries RD_GUARDED_BY(state_mu_).
-  // lint: allow(guarded-field) condition-protocol mutex; every flag it orders is an annotated atomic
-  mutable Mutex state_mu_;
-  mutable CondVar state_cv_;
+  /// worker_park_[w] is worker w's; drain_park_ is drain()'s.
+  std::unique_ptr<Parking[]> worker_park_;
+  Parking drain_park_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<bool> draining_{false};

@@ -1,7 +1,10 @@
 // Tests for the ReadDuo policy layer: steady-state sampler, conversion
 // controller, and the six schemes' decision logic.
+#include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -413,6 +416,110 @@ TEST(Schemes, TlcWritesCost384Cells) {
   const WriteOutcome w = s->on_write(3, Ns{0});
   EXPECT_EQ(w.cells_written, 384u);
   EXPECT_EQ(s->counters().cell_writes, 384u);
+}
+
+// --------------------------------------------------------- Line table ---
+
+/// The smallest concrete SchemeBase: exposes the line table, gives every
+/// new line an LWT-32 flag state that depends on the line, and draws the
+/// initial age from the scheme's RNG like the real schemes do.
+class ProbeScheme : public SchemeBase {
+ public:
+  explicit ProbeScheme(const SchemeEnv& env) : SchemeBase("probe", env) {}
+
+  using SchemeBase::line_slots;
+  using SchemeBase::state_of;
+
+  double cells_per_line() const override { return 296.0; }
+  double scrub_interval_seconds() const override { return 0.0; }
+  ReadOutcome on_read(std::uint64_t, Ns, bool) override { return {}; }
+  ScrubOutcome on_scrub(Ns, unsigned) override { return {}; }
+  WriteOutcome on_scrub_rewrite(Ns) override { return {}; }
+
+ protected:
+  double sample_initial_age(std::uint64_t, bool, FirstTouch,
+                            Rng& r) override {
+    return 1.0 + 1000.0 * r.uniform();
+  }
+  void init_line(LineState& st, std::uint64_t line, Ns, bool) override {
+    st.flags = LwtFlags(32);
+    st.flags.on_write(static_cast<unsigned>(line % 32));
+    st.flags.on_write(static_cast<unsigned>((line / 32) % 32));
+  }
+};
+
+void expect_same_state(const LineState& a, const LineState& b) {
+  EXPECT_EQ(a.last_full_write_s, b.last_full_write_s);  // bit-exact
+  EXPECT_EQ(a.flags.k(), b.flags.k());
+  EXPECT_EQ(a.flags.vector_flag(), b.flags.vector_flag());
+  EXPECT_EQ(a.flags.index_flag(), b.flags.index_flag());
+  EXPECT_EQ(a.converted, b.converted);
+}
+
+TEST(LineTable, ExtremeLinesKeepSeparateState) {
+  // Stored keys are line + 1, so line 0 and the largest storable line
+  // (2^64 - 2) sit at the two ends of the key space.
+  ProbeScheme p(test_env());
+  constexpr std::uint64_t kTop = UINT64_MAX - 1;
+  p.on_write(0, from_seconds(10.0));
+  p.on_write(kTop, from_seconds(20.0));
+  p.state_of(kTop, Ns{0}, false).converted = true;
+  EXPECT_EQ(p.state_of(0, Ns{0}, false).last_full_write_s, 10.0);
+  EXPECT_FALSE(p.state_of(0, Ns{0}, false).converted);
+  EXPECT_EQ(p.state_of(kTop, Ns{0}, false).last_full_write_s, 20.0);
+  EXPECT_TRUE(p.state_of(kTop, Ns{0}, false).converted);
+  EXPECT_NE(p.state_of(0, Ns{0}, false).flags.vector_flag(),
+            p.state_of(kTop, Ns{0}, false).flags.vector_flag());
+}
+
+TEST(LineTable, StateSurvivesGrowth) {
+  ProbeScheme p(test_env());
+  const Ns now = from_seconds(5000.0);
+  // Lines touched before any growth: one written, the rest read-created
+  // with a sampled age; snapshot them all.
+  std::vector<std::pair<std::uint64_t, LineState>> early;
+  p.on_write(7, from_seconds(123.0));
+  early.emplace_back(7, p.state_of(7, now, false));
+  for (std::uint64_t line = 1000; line < 1100; ++line) {
+    early.emplace_back(line, p.state_of(line, now, false));
+  }
+  early.back().second.converted = true;
+  p.state_of(early.back().first, now, false).converted = true;
+  const std::size_t slots0 = p.line_slots();
+  ASSERT_GT(slots0, 0u);
+  for (std::uint64_t line = 1u << 20; p.line_slots() < slots0 * 8; ++line) {
+    p.state_of(line * 2654435761u, now, false);
+  }
+  for (const auto& [line, st] : early) {
+    SCOPED_TRACE(line);
+    expect_same_state(p.state_of(line, now, false), st);
+  }
+}
+
+TEST(LineTable, LwtFlagsKeepBit31AfterPacking) {
+  LwtFlags f(32);
+  EXPECT_EQ(f.flag_bits(), 37u);  // 32 vector bits + 5 index bits
+  f.on_write(31);
+  EXPECT_EQ(f.vector_flag(), 1u << 31);
+  EXPECT_EQ(f.index_flag(), 31u);
+  EXPECT_TRUE(f.tracked_for_read(31));
+  // The same state round-trips through a line-table slot.
+  ProbeScheme p(test_env());
+  LineState& st = p.state_of(63, Ns{0}, false);
+  st.flags = f;
+  const LineState& back = p.state_of(63, Ns{0}, false);
+  EXPECT_EQ(back.flags.vector_flag(), 1u << 31);
+  EXPECT_EQ(back.flags.index_flag(), 31u);
+  EXPECT_EQ(back.flags.k(), 32u);
+  f.corrupt_vector_bit(31);
+  EXPECT_EQ(f.vector_flag(), 0u);
+}
+
+TEST(LineTable, TopLineIsRejected) {
+  // UINT64_MAX + 1 would be the empty-slot key.
+  ProbeScheme p(test_env());
+  EXPECT_THROW(p.state_of(UINT64_MAX, Ns{0}, false), CheckFailure);
+  EXPECT_THROW(p.on_write(UINT64_MAX, Ns{0}), CheckFailure);
 }
 
 }  // namespace

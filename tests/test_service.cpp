@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -188,6 +190,67 @@ TEST(Service, StatsSnapshotSafeWhileRunning) {
   svc.stop();  // stop() without explicit drain() must still quiesce
   const ServiceStats st = svc.stats();
   EXPECT_EQ(st.completed, submitted);
+}
+
+// ------------------------------------------------------------ Wakeups ---
+// submit() wakes a worker only on a queue's empty -> non-empty edge, and
+// signal() skips the futex when nobody is parked. A lost wakeup would
+// strand a request in a queue whose worker sleeps; these tests turn that
+// into a bounded failure instead of a hang.
+
+/// Poll `done` until it holds or ~10 s pass (10^5 sleeps of >= 100 us;
+/// generous even under sanitizers — a healthy wakeup takes microseconds).
+template <class Pred>
+bool eventually(Pred done) {
+  for (int i = 0; i < 100'000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return done();
+}
+
+Request read_at(std::uint64_t id, std::uint64_t line, Ns arrival) {
+  Request r;
+  r.id = id;
+  r.line = line;
+  r.arrival = arrival;
+  return r;
+}
+
+TEST(ServiceWakeup, IdleServiceWakesForOneRequest) {
+  MemoryService svc(small_config(/*threads=*/2));
+  // Nothing to do: both workers park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(svc.submit(read_at(1, 8, Ns{1'000})));
+  EXPECT_TRUE(eventually([&] { return svc.stats().admitted == 1; }));
+  // A read completes once its shard's clock passes its service time, so
+  // a second, later request on the same shard (another wakeup of the
+  // re-parked worker) is what completes the first — still no drain().
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(svc.submit(read_at(2, 12, Ns{1'000'000})));
+  EXPECT_TRUE(eventually([&] { return svc.stats().completed >= 1; }));
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.submitted, 2u);
+  EXPECT_EQ(st.admitted, 2u);
+  EXPECT_EQ(st.completed, 1u);
+}
+
+TEST(ServiceWakeup, TrickleOfSingleRequestsNeverStalls) {
+  // One request at a time, each waited for before the next: every submit
+  // finds its queue empty and the worker about to park or parked — the
+  // window a lost wakeup would fall into. All on shard 0, 50 us of
+  // virtual time apart, so admitting request i completes request i - 1.
+  MemoryService svc(small_config(/*threads=*/2));
+  constexpr std::uint64_t kRequests = 1000;
+  for (std::uint64_t i = 1; i <= kRequests; ++i) {
+    ASSERT_TRUE(svc.submit(read_at(i, 4 * (i % 512), Ns{50'000} * i)));
+    ASSERT_TRUE(eventually([&] {
+      const ServiceStats st = svc.stats();
+      return st.admitted == i && st.completed + 1 >= i;
+    })) << "request " << i << " stranded";
+  }
+  svc.stop();
+  EXPECT_EQ(svc.stats().completed, kRequests);
 }
 
 }  // namespace

@@ -67,7 +67,8 @@ void usage(const char* argv0) {
       "  --workload=<name>      locality/write-mix template (default mcf)\n"
       "  --device=<file>        device config (overrides READDUO_DEVICE;\n"
       "                         see configs/ and docs/DEVICE_CONFIGS.md)\n"
-      "  --write-fraction=<f>   override the workload's write mix\n"
+      "  --write-fraction=<f>   override the workload's write mix,\n"
+      "                         a fraction in [0, 1]\n"
       "  --seed=<n>             RNG seed (default 42)\n"
       "  --shards=<n>           chips (default 4)\n"
       "  --queue=<n>            per-shard submission queue bound\n"
@@ -438,6 +439,8 @@ int main(int argc, char** argv) {
         run.workload = v;
       } else if (parse_flag(argv[i], "--write-fraction", v)) {
         run.write_fraction = parse_real("--write-fraction", v);
+        RD_CHECK_MSG(run.write_fraction >= 0.0 && run.write_fraction <= 1.0,
+                     "--write-fraction: '" << v << "' is outside [0, 1]");
       } else if (parse_flag(argv[i], "--seed", v)) {
         run.seed = parse_uint("--seed", v);
       } else if (parse_flag(argv[i], "--shards", v)) {
@@ -457,7 +460,9 @@ int main(int argc, char** argv) {
       } else if (parse_flag(argv[i], "--window", v)) {
         run.window = parse_uint<std::size_t>("--window", v);
       } else if (parse_flag(argv[i], "--crosscheck", v)) {
-        run.crosscheck = parse_uint("--crosscheck", v) != 0;
+        const auto on = parse_uint("--crosscheck", v);
+        RD_CHECK_MSG(on <= 1, "--crosscheck: '" << v << "' is not 0 or 1");
+        run.crosscheck = on == 1;
       } else {
         usage(argv[0]);
         return 2;
